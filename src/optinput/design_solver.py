@@ -7,12 +7,20 @@ vertices E xi_j(0:n); all three criteria are convex functions of
 
     Q(r) = Toeplitz(r) + sigma2 * P^{-1}.
 
-The smooth criteria (D, A) are minimized by Frank-Wolfe over the vertex
+The smooth criteria (D, A) are solved interior-first: a damped Newton method
+in the free correlations r_1..r_{n-1}, started at r_dagger = (E, 0, .., 0),
+with closed-form gradient and Hessian from one Q(r)^{-1} per iteration.  It
+stops on the Frank-Wolfe duality gap at the iterate.  One nonnegative
+least-squares solve then recovers vertex weights; when they reproduce the
+iterate to roundoff the point lies in the polytope, and the duality gap at
+the reconstructed r certifies it.  When the optimum leaves the polytope (or
+the gap is not met) the solve falls back to Frank-Wolfe over the vertex
 weights, with away steps and an exact line search on the 1-D restriction
-(closed form via a generalized eigendecomposition), certified by the
-linearization duality gap.  The nonsmooth criterion (E) uses a projected
-subgradient method with best-iterate tracking.  A chunked brute-force grid
-scan over the weight simplex serves as an independent oracle for small K.
+(closed form via a generalized eigendecomposition), certified by the same gap
+at the returned point.  The nonsmooth criterion (E) uses a projected
+subgradient method started at r_dagger, with best-iterate tracking.  A chunked
+brute-force grid scan over the weight simplex serves as an independent oracle
+for small K.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from . import linalg
 from .design_map import CorrelationVector, recover_input, vertices
@@ -76,10 +85,13 @@ class DesignProblem:
 class SolverOptions:
     """Tolerances and budgets for solve(); defaults favor accuracy over speed.
 
-    gap_rel_tol is the Frank-Wolfe stop: duality gap <= gap_rel_tol * |value|.
-    The subgradient method stops on its budget or when the best value has
-    stalled (relative spread below subgrad_spread_tol over the trailing
-    window).
+    gap_rel_tol is the D/A stop: duality gap <= gap_rel_tol * |value|.
+    max_iter bounds the Newton iterations and, separately, the Frank-Wolfe
+    iterations of the fallback.  Both stop early at a numerical floor: after
+    stall_iters iterations without a gap improvement, they report converged
+    when the gap is within 1e-8 * |value|.  The subgradient method stops on
+    its budget or when the best value has stalled (relative spread below
+    subgrad_spread_tol over the trailing window).
     """
 
     gap_rel_tol: float = 1e-13
@@ -95,9 +107,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Certificate:
+    """How a design was found: the gap at the returned r, the iterations of
+    the method that returned it ("newton", "frank-wolfe", "subgradient" or
+    "grid"), and whether the gap met its target."""
+
     gap: float
     iterations: int
     converged: bool
+    method: str
 
 
 @dataclass(frozen=True)
@@ -125,6 +142,7 @@ class DesignSolution:
                 "gap": self.certificate.gap,
                 "iterations": self.certificate.iterations,
                 "converged": self.certificate.converged,
+                "method": self.certificate.method,
             },
         }
 
@@ -138,7 +156,9 @@ class DesignSolution:
             u=InputSequence(np.asarray(obj["u"], dtype=float), float(r[0])),
             value=float(obj["value"]),
             criterion=obj["criterion"],
-            certificate=Certificate(float(cert["gap"]), int(cert["iterations"]), bool(cert["converged"])),
+            certificate=Certificate(
+                float(cert["gap"]), int(cert["iterations"]), bool(cert["converged"]), cert.get("method", "")
+            ),
         )
 
 
@@ -223,6 +243,115 @@ def _segment_minimizer(problem, Q0: np.ndarray, D: np.ndarray, t_max: float, ite
     return 0.5 * (lo + hi)
 
 
+_GAP_FLOOR = 1e-8  # relative gap accepted when an iteration stalls at roundoff
+_NNLS_ROUNDOFF = 1e-12  # membership residual of a point inside the polytope
+
+
+def _toeplitz_bands(n: int) -> np.ndarray:
+    """(n, n, n) stack of the 0/1 Toeplitz band matrices; slice 0 is the identity."""
+    bands = np.zeros((n, n, n))
+    for i in range(n):
+        idx = np.arange(n - i)
+        bands[i, idx, idx + i] = 1.0
+        bands[i, idx + i, idx] = 1.0
+    return bands
+
+
+def _duality_gap(V: np.ndarray, r: np.ndarray, g: np.ndarray) -> float:
+    """Frank-Wolfe gap g.r[1:] - min_j g.v_j[1:]; bounds value - optimum when r is feasible."""
+    return float(g @ r[1:] - np.min(V[:, 1:] @ g))
+
+
+def _smooth_terms(problem, r: np.ndarray, p_inv: np.ndarray, bands: np.ndarray | None):
+    """D or A value at r, with gradient and Hessian in r[1:] unless bands is None.
+
+    With G = Q(r)^{-1} and B_i the band matrices:
+    D: g_i = -tr(G B_i), H_ik = tr(G B_i G B_k);
+    A: g_i = -sigma2 tr(G^2 B_i), H_ik = sigma2 [tr(G^2 B_i G B_k) + tr(G B_i G^2 B_k)].
+    Returns None where Q(r) is not positive definite.
+    """
+    n, sigma2 = problem.n, problem.sigma2
+    try:
+        L = np.linalg.cholesky(scipy.linalg.toeplitz(r) + sigma2 * p_inv)
+    except np.linalg.LinAlgError:
+        return None
+    L_inv = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+    if problem.criterion == "D":
+        value = n * np.log(sigma2) - 2.0 * float(np.sum(np.log(np.diag(L))))
+    else:
+        value = sigma2 * float(np.sum(L_inv * L_inv))
+    if bands is None:
+        return value, None, None
+    G = L_inv.T @ L_inv
+    GB = G @ bands
+    if problem.criterion == "D":
+        return value, -np.einsum("iaa->i", GB), np.einsum("iab,kba->ik", GB, GB)
+    G2B = G @ GB
+    C = np.einsum("iab,kba->ik", G2B, GB)
+    return value, -sigma2 * np.einsum("iaa->i", G2B), sigma2 * (C + C.T)
+
+
+def _newton(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
+    """Damped Newton in r[1:] from r_dagger, certified only for an optimum inside the polytope.
+
+    Stops on the Frank-Wolfe gap at the iterate (a bound once the iterate is
+    feasible), then recovers vertex weights with one exact NNLS solve of
+    [V^T / E; 1^T] w = [r / E; 1].  Returns (w, r, value, cert) with the gap
+    recomputed at r = V^T w, or None when the iterate is not in the polytope
+    or its gap misses the target; the caller then falls back to Frank-Wolfe.
+    """
+    E = problem.energy
+    bands = _toeplitz_bands(problem.n)[1:]
+    r = problem.r_dagger()
+    tol = opts.gap_rel_tol
+    best_gap, stall, stalled, it = np.inf, 0, False, 0
+    for it in range(1, opts.max_iter + 1):
+        value, g, H = _smooth_terms(problem, r, p_inv, bands)
+        gap = _duality_gap(V, r, g)
+        if gap <= tol * abs(value) + np.finfo(float).tiny:
+            break
+        if gap < best_gap * 0.999:
+            best_gap, stall = gap, 0
+        else:
+            stall += 1
+            if stall >= opts.stall_iters:
+                stalled = True
+                break
+        try:
+            step = -scipy.linalg.solve(H, g, assume_a="pos")
+        except np.linalg.LinAlgError:
+            stalled = True
+            break
+        slope = float(g @ step)
+        # Armijo backtracking, also whenever Q leaves the PD cone; a rise within
+        # the value's roundoff is accepted, so steps near the optimum go through
+        slack = 8.0 * np.finfo(float).eps * abs(value)
+        t = 1.0
+        while t > 1e-12:
+            trial = r.copy()
+            trial[1:] += t * step
+            terms = _smooth_terms(problem, trial, p_inv, None)
+            if terms is not None and terms[0] <= value + 0.25 * t * slope + slack:
+                break
+            t *= 0.5
+        else:
+            stalled = True
+            break
+        r = trial
+    K = V.shape[0]
+    w, residual = scipy.optimize.nnls(np.vstack([V.T / E, np.ones(K)]), np.append(r / E, 1.0))
+    if residual > _NNLS_ROUNDOFF:
+        return None
+    w /= w.sum()
+    r = V.T @ w
+    value, g, _ = _smooth_terms(problem, r, p_inv, bands)
+    gap = _duality_gap(V, r, g)
+    met = gap <= tol * abs(value) + np.finfo(float).tiny
+    if not (met or (stalled and gap <= _GAP_FLOOR * abs(value))):
+        return None
+    return w, r, value, Certificate(gap=gap, iterations=it, converged=True, method="newton")
+
+
 def _frank_wolfe(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
     """Away-step Frank-Wolfe over the vertex weights; returns (w, r, value, cert)."""
     K = V.shape[0]
@@ -251,7 +380,7 @@ def _frank_wolfe(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions)
             stall += 1
             if stall >= opts.stall_iters:
                 # numerical floor reached; report the best certified gap
-                converged = gap <= 1e-8 * abs(value)
+                converged = gap <= _GAP_FLOOR * abs(value)
                 break
         support = np.flatnonzero(w > 0.0)
         v_idx = int(support[np.argmax(scores[support])])
@@ -268,7 +397,7 @@ def _frank_wolfe(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions)
         Q0 = q_of_r(r, p_inv, sigma2).a
         t = _segment_minimizer(problem, Q0, D, t_max, opts.line_search_iters)
         if t <= 0.0:
-            converged = gap <= 1e-8 * abs(value)
+            converged = gap <= _GAP_FLOOR * abs(value)
             break
         if is_away:
             w *= 1.0 + t
@@ -282,7 +411,11 @@ def _frank_wolfe(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions)
         w /= w.sum()
         r = V.T @ w
         value = eval_criterion(problem, r, p_inv)
-    return w, r, value, Certificate(gap=float(gap), iterations=it, converged=converged)
+    else:
+        # the budget ran out after a step: certify the returned point, not its predecessor
+        gap = _duality_gap(V, r, gradient_in_r(problem, r, p_inv))
+        converged = gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny
+    return w, r, value, Certificate(gap=float(gap), iterations=it, converged=bool(converged), method="frank-wolfe")
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
@@ -295,9 +428,16 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
 
 
 def _projected_subgradient(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
-    """Projected subgradient descent for the E criterion over the vertex weights."""
-    K = V.shape[0]
-    w = np.full(K, 1.0 / K)
+    """Projected subgradient descent for the E criterion over the vertex weights.
+
+    Starts at the weights of r_dagger (1/N, 2/N, .., 2/N, and 1/N last for even
+    N), so best-iterate tracking never returns a value above r_dagger's.
+    """
+    N = problem.N
+    w = np.full(V.shape[0], 2.0 / N)
+    w[0] = 1.0 / N
+    if N % 2 == 0:
+        w[-1] = 1.0 / N
     r = V.T @ w
     sigma2 = problem.sigma2
     best_value = np.inf
@@ -331,7 +471,8 @@ def _projected_subgradient(problem, V: np.ndarray, p_inv: np.ndarray, opts: Solv
                     break
     if np.isinf(spread):
         spread = 0.0 if len(marks) < 2 else marks[0] - marks[-1]
-    return best_w, best_r, best_value, Certificate(gap=float(spread), iterations=it, converged=converged)
+    cert = Certificate(gap=float(spread), iterations=it, converged=bool(converged), method="subgradient")
+    return best_w, best_r, best_value, cert
 
 
 def solve(
@@ -350,7 +491,8 @@ def solve(
     p_inv = problem.p_inverse()
     V = vertices(problem.N, problem.n, problem.energy)
     if problem.criterion in ("D", "A"):
-        w, r, value, cert = _frank_wolfe(problem, V, p_inv, opts)
+        found = _newton(problem, V, p_inv, opts)
+        w, r, value, cert = found if found is not None else _frank_wolfe(problem, V, p_inv, opts)
     else:
         w, r, value, cert = _projected_subgradient(problem, V, p_inv, opts)
     a = np.zeros(problem.N)
@@ -376,13 +518,7 @@ def check_rdagger_optimality(problem: DesignProblem, tol: float = 1e-10) -> dict
 
 
 def _batched_criterion(criterion: str, rs: np.ndarray, p_inv: np.ndarray, sigma2: float, n: int) -> np.ndarray:
-    base = np.zeros((n, n, n))
-    for i in range(n):
-        idx = np.arange(n - i)
-        base[i, idx, idx + i] = 1.0
-        base[i, idx + i, idx] = 1.0
-    base[0] = np.eye(n)
-    Q = np.einsum("mi,ijk->mjk", rs, base) + sigma2 * p_inv
+    Q = np.einsum("mi,ijk->mjk", rs, _toeplitz_bands(n)) + sigma2 * p_inv
     if criterion == "D":
         sign, ld = np.linalg.slogdet(Q)
         out = n * np.log(sigma2) - ld
@@ -459,5 +595,5 @@ def brute_force_design(problem: DesignProblem, grid_resolution: int = 200) -> De
         u=u,
         value=best_value,
         criterion=problem.criterion,
-        certificate=Certificate(gap=slack, iterations=count, converged=True),
+        certificate=Certificate(gap=slack, iterations=count, converged=True, method="grid"),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optinput.design_map import build_S, quadratic_map, weights_to_r
+from optinput.design_map import build_S, quadratic_map, vertices, weights_to_r
 from optinput.design_solver import (
     CRITERIA,
     DesignProblem,
@@ -42,6 +42,22 @@ def interior_point(problem, seed):
     a = rng.dirichlet(np.ones(problem.N))
     r = weights_to_r(a, build_S(problem.N, problem.n), problem.energy).r
     return 0.5 * r + 0.5 * problem.r_dagger()
+
+
+def gap_at(problem, r):
+    """Frank-Wolfe duality gap at r, from the vertices and gradient_in_r."""
+    g = gradient_in_r(problem, r)
+    V = vertices(problem.N, problem.n, problem.energy)
+    return float(g @ r[1:] - np.min(V[:, 1:] @ g))
+
+
+def assert_certified(problem, s):
+    """Converged, gap at s.r within the default target, and E S a == r."""
+    assert s.certificate.converged
+    assert gap_at(problem, s.r) <= SolverOptions().gap_rel_tol * abs(s.value) + 1e-15
+    assert s.value == pytest.approx(eval_criterion(problem, s.r), rel=1e-12)
+    back = weights_to_r(s.a, build_S(problem.N, problem.n), problem.energy).r
+    assert np.max(np.abs(back - s.r)) <= 1e-12 * problem.energy
 
 
 class TestDesignProblem:
@@ -271,6 +287,82 @@ class TestSolve:
         assert back.value == s.value and back.criterion == s.criterion
         assert back.certificate.gap == s.certificate.gap
         assert back.certificate.converged == s.certificate.converged
+        assert back.certificate.method == s.certificate.method
+
+    def test_capped_frank_wolfe_certifies_the_returned_point(self):
+        # the optimum is on the boundary, so Newton hands over to Frank-Wolfe,
+        # which stops on the 5-iteration cap right after a step
+        p = dc_problem("D", rho=-0.6, lam=0.8, n=4, N=8, sigma2=0.5)
+        s = solve(p, SolverOptions(max_iter=5))
+        assert s.certificate.method == "frank-wolfe"
+        assert s.certificate.iterations == 5
+        assert not s.certificate.converged
+        assert s.certificate.gap == pytest.approx(gap_at(p, s.r), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["Ridge-N4", "DI-N4", "DI-N7"])
+    def test_e_is_never_worse_than_r_dagger_on_diagonal_kernels(self, name):
+        # r_dagger is E-optimal here; the subgradient method starts on it
+        family, N = name.split("-N")
+        params = {"c": 1.0} if family == "Ridge" else {"c": 1.0, "lam": 0.8}
+        p = DesignProblem(KernelSpec(family, 4, params), 0.5, 4, int(N), 1.0, "E")
+        s = solve(p)
+        assert s.value <= eval_criterion(p, p.r_dagger())
+
+
+class TestNewtonPath:
+    @pytest.mark.parametrize("criterion", ["D", "A"])
+    def test_interior_tc_optimum(self, criterion):
+        spec = KernelSpec("TC", 20, {"c": 1.0, "lam": 0.8})
+        p = DesignProblem(spec, 0.1, 20, 50, 10.0, criterion)
+        s = solve(p)
+        assert s.certificate.method == "newton"
+        assert s.certificate.iterations <= 10
+        assert_certified(p, s)
+        assert s.value < eval_criterion(p, p.r_dagger())
+
+    @pytest.mark.parametrize("criterion", ["D", "A"])
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_odd_and_even_periods(self, criterion, N):
+        p = dc_problem(criterion, rho=0.3, lam=0.8, n=4, N=N, sigma2=0.5)
+        s = solve(p)
+        assert s.certificate.method == "newton"
+        assert_certified(p, s)
+
+    @pytest.mark.parametrize("criterion", ["D", "A"])
+    @pytest.mark.parametrize("N", [4, 7])
+    def test_boundary_optimum_falls_back_and_matches_the_grid(self, criterion, N):
+        # N=4 has K=3 < n vertices; at N=7 strong coupling pushes the optimum to a face
+        p = dc_problem(criterion, rho=0.9, lam=0.8, n=4, N=N, sigma2=0.5)
+        s = solve(p)
+        assert s.certificate.method == "frank-wolfe"
+        assert_certified(p, s)
+        grid = brute_force_design(p, 60)
+        assert s.value <= grid.value + 1e-12
+        assert grid.value - s.value <= grid.certificate.gap
+
+    @pytest.mark.parametrize("criterion", ["D", "A"])
+    def test_single_tap(self, criterion):
+        p = ridge_problem(criterion, n=1, N=3, energy=2.0)
+        s = solve(p)
+        assert s.certificate.converged and s.certificate.gap == 0.0
+        assert np.array_equal(s.r, [2.0])
+
+    @pytest.mark.parametrize("criterion", ["D", "A"])
+    def test_period_equal_to_order(self, criterion):
+        spec = KernelSpec("TC", 5, {"c": 1.0, "lam": 0.8})
+        p = DesignProblem(spec, 0.5, 5, 5, 1.0, criterion)
+        s = solve(p)
+        assert_certified(p, s)
+        assert s.value <= eval_criterion(p, p.r_dagger())
+        grid = brute_force_design(p, 60)
+        assert s.value <= grid.value + 1e-12
+
+    def test_unit_budget_falls_back_without_losing_the_value(self):
+        # one Newton iteration cannot certify; the fallback's first step is kept
+        p = dc_problem("D", rho=0.3, lam=0.8, n=4, N=12, sigma2=0.5)
+        s = solve(p, SolverOptions(max_iter=1))
+        assert s.certificate.method == "frank-wolfe"
+        assert s.value <= eval_criterion(p, p.r_dagger())
 
 
 class TestZeroCorrelationTest:

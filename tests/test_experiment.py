@@ -194,8 +194,22 @@ class TestRunMonteCarlo:
         for stats in summary["policies"].values():
             assert set(stats) == {"mean", "median", "q1", "q3", "count"}
             assert stats["count"] == 3
+        assert summary["designs"]["D"]["converged"] == 3
+        assert summary["designs"]["D"]["unconverged"] == 0
         on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert on_disk == summary
+
+    def test_unconverged_designs_are_counted(self, tmp_path, caplog):
+        cfg = McConfig(systems=2, output_dir=str(tmp_path / "cap"), fw_max_iter=1, **TINY)
+        with caplog.at_level("WARNING", logger="optinput.experiment"):
+            summary = run_monte_carlo(cfg)
+        designs = summary["designs"]["D"]
+        assert designs["unconverged"] == 2 and designs["converged"] == 0
+        assert designs["worst_gap"] > 0.0
+        assert sum("unconverged" in rec.getMessage() for rec in caplog.records) == 2
+        lines = (tmp_path / "cap" / "fits.csv").read_text().strip().splitlines()
+        assert lines[0] == "system_id,policy,fit,snr,seed"
+        assert len(lines) == 1 + 2 * 2 and all(line.count(",") == 4 for line in lines)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = McConfig(systems=3, output_dir=str(tmp_path / "a"), **TINY)
