@@ -10,7 +10,6 @@ optimality checks, and a Monte Carlo benchmark round out the pipeline.
 
 from .design_map import (
     CorrelationVector,
-    TrigBasis,
     build_S,
     build_W,
     decompose_check,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrelationVector",
-    "TrigBasis",
     "build_S",
     "build_W",
     "decompose_check",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import InputSequence, OrderTooLarge
+from .estimator import InputSequence, OrderTooLarge, _lag_products
 
 
 class InvalidWeights(ValueError):
@@ -31,19 +31,6 @@ def xi(N: int, j: int) -> np.ndarray:
 def zeta(N: int, j: int) -> np.ndarray:
     """Sampled sine vector, zeta_j[l] = sin(2 pi j l / N), l = 0..N-1."""
     return np.sin(2.0 * np.pi * j * np.arange(N) / N)
-
-
-@dataclass(frozen=True)
-class TrigBasis:
-    """Convenience handle for the sampled trigonometric vectors at period N."""
-
-    N: int
-
-    def xi(self, j: int) -> np.ndarray:
-        return xi(self.N, j)
-
-    def zeta(self, j: int) -> np.ndarray:
-        return zeta(self.N, j)
 
 
 @dataclass(frozen=True)
@@ -69,14 +56,8 @@ class CorrelationVector:
 
 
 def circular_correlation(values: np.ndarray, n: int) -> np.ndarray:
-    """r_j = sum_k u_k u_{(k-j) mod N} for j = 0..n-1 (raw array form)."""
-    v = np.asarray(values, dtype=float)
-    N = v.size
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > N:
-        raise OrderTooLarge(f"n={n} correlations need a period of at least n (N={N})")
-    return np.array([float(v @ np.roll(v, j)) for j in range(n)])
+    """r_j = sum_k u_k u_{(k-j) mod N} for j = 0..n-1 (raw array form), by FFT."""
+    return _lag_products(np.asarray(values, dtype=float), None, n)
 
 
 def quadratic_map(u, n: int, energy: float | None = None) -> CorrelationVector:
@@ -185,10 +166,23 @@ def recover_input(a, energy: float, N: int, sign_pattern=None, seed: int | None 
         signs = np.asarray(sign_pattern, dtype=float)
         if signs.shape != (N,) or not np.all(np.abs(signs) == 1.0):
             raise ValueError("sign_pattern must be an array of +-1 of length N")
-    u = build_W(N) @ (signs * np.sqrt(x))
-    # defensive roundtrip check; the identity is exact up to roundoff
-    r = energy * (build_S(N, min(N, a.size)) @ a)
-    back = circular_correlation(u, r.size)
+    # u = W z as one inverse real DFT: column j <= N/2 of W is the cosine at
+    # frequency j and column N - j the sine at frequency j
+    K = N // 2 + 1
+    z = signs * np.sqrt(x)
+    spec = np.sqrt(N / 2.0) * z[:K].astype(complex)
+    spec[1 : (N + 1) // 2] -= 1j * np.sqrt(N / 2.0) * z[: N // 2 : -1]
+    spec[0] *= np.sqrt(2.0)
+    if N % 2 == 0:
+        spec[-1] *= np.sqrt(2.0)
+    u = np.fft.irfft(spec, N)
+    # defensive roundtrip check; the identity is exact up to roundoff.  Columns
+    # j and N - j of S coincide, and correlations are even in the lag, so the
+    # K vertices at lags 0..K-1 cover every column and every lag.
+    folded = a[:K].copy()
+    folded[1 : (N + 1) // 2] += a[: N // 2 : -1]
+    r = vertices(N, K, energy).T @ folded
+    back = circular_correlation(u, K)
     if np.max(np.abs(back - r)) > 1e-8 * energy or abs(u @ u - energy) > 1e-10 * energy:
         raise ArithmeticError("input recovery failed its roundtrip check")
     return InputSequence(u, energy)

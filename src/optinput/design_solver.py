@@ -18,7 +18,8 @@ the gap is not met) the solve falls back to Frank-Wolfe over the vertex
 weights, with away steps and an exact line search on the 1-D restriction
 (closed form via a generalized eigendecomposition), certified by the same gap
 at the returned point.  The nonsmooth criterion (E) uses a projected
-subgradient method started at r_dagger, with best-iterate tracking.  A chunked
+subgradient method started at r_dagger, with best-iterate tracking, that stops
+early when it meets the trace lower bound n sigma2 / tr Q.  A chunked
 brute-force grid scan over the weight simplex serves as an independent oracle
 for small K.
 """
@@ -432,14 +433,17 @@ def _projected_subgradient(problem, V: np.ndarray, p_inv: np.ndarray, opts: Solv
 
     Starts at the weights of r_dagger (1/N, 2/N, .., 2/N, and 1/N last for even
     N), so best-iterate tracking never returns a value above r_dagger's.
+    tr Q(r) = n E + sigma2 tr P^{-1} on the polytope and lambda_min <= tr Q / n, so
+    n sigma2 / tr Q bounds the value below; meeting it within subgrad_spread_tol certifies.
     """
-    N = problem.N
+    N, n = problem.N, problem.n
     w = np.full(V.shape[0], 2.0 / N)
     w[0] = 1.0 / N
     if N % 2 == 0:
         w[-1] = 1.0 / N
     r = V.T @ w
     sigma2 = problem.sigma2
+    bound = n * sigma2 / (n * problem.energy + sigma2 * float(np.trace(p_inv)))
     best_value = np.inf
     best_w, best_r = w.copy(), r.copy()
     marks: list[float] = []
@@ -452,7 +456,10 @@ def _projected_subgradient(problem, V: np.ndarray, p_inv: np.ndarray, opts: Solv
         if value < best_value:
             best_value = value
             best_w, best_r = w.copy(), r.copy()
-        n = problem.n
+        if best_value - bound <= opts.subgrad_spread_tol * abs(best_value):
+            converged = True
+            spread = max(best_value - bound, 0.0)
+            break
         quad = np.array([2.0 * float(v[: n - i] @ v[i:]) for i in range(1, n)])
         g = V[:, 1:] @ (-(sigma2 / lam**2) * quad)
         gnorm = float(np.linalg.norm(g))

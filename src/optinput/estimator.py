@@ -6,6 +6,9 @@ matrix Phi^T Phi a symmetric Toeplitz matrix of circular correlations.  On top
 of that convention this module provides least squares, regularized least
 squares with its posterior covariance, the Bayesian mean squared error matrix,
 and an empirical-Bayes hyperparameter search for the kernel families.
+
+Everything is computed in n x n form from FFT correlations (Phi^T Phi and
+Phi^T y) and M = P Phi^T Phi + sigma2 I, so no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -114,6 +117,13 @@ def _values(u) -> np.ndarray:
     return u.values if isinstance(u, InputSequence) else np.asarray(u, dtype=float)
 
 
+def _check_order(n: int, N: int):
+    if n < 1:
+        raise ValueError("FIR order n must be >= 1")
+    if n > N:
+        raise OrderTooLarge(f"FIR order {n} exceeds record length {N}")
+
+
 def build_circulant_regressor(u, n: int) -> np.ndarray:
     """N x n regression matrix with row t equal to (u_t, u_{t-1}, ..., u_{t-n+1}).
 
@@ -121,23 +131,49 @@ def build_circulant_regressor(u, n: int) -> np.ndarray:
     """
     v = _values(u)
     N = v.size
-    if n < 1:
-        raise ValueError("FIR order n must be >= 1")
-    if n > N:
-        raise OrderTooLarge(f"FIR order {n} exceeds record length {N}")
+    _check_order(n, N)
     idx = (np.arange(N)[:, None] - np.arange(n)[None, :]) % N
     return v[idx]
 
 
+def _lag_products(v: np.ndarray, w: np.ndarray | None, n: int) -> np.ndarray:
+    """sum_t v_{(t-i) mod N} w_t for i = 0..n-1 by FFT: Phi^T w, or the correlations r of v if w is None."""
+    _check_order(n, v.size)
+    V = np.fft.rfft(v)
+    spec = V.real**2 + V.imag**2 if w is None else np.conj(V) * np.fft.rfft(w)
+    return np.fft.irfft(spec, v.size)[:n]
+
+
+def _normal_equations(u, n: int, y):
+    """Phi^T Phi = Toeplitz(r) and Phi^T y, without forming Phi."""
+    v, y = _values(u), np.asarray(y, dtype=float)
+    if y.shape != v.shape:
+        raise ValueError("y must have one sample per input sample")
+    return scipy.linalg.toeplitz(_lag_products(v, None, n)), _lag_products(v, y, n)
+
+
+def _factor(P: np.ndarray, T: np.ndarray, sigma2: float):
+    """LU factor of M = P T + sigma2 I and log det M; (T + sigma2 P^{-1})^{-1} = M^{-1} P.
+
+    P is never inverted, so it may be numerically singular.  det M > 0 in
+    exact arithmetic; a non-positive sign raises NotPositiveDefinite.
+    """
+    n = T.shape[0]
+    lu, piv = scipy.linalg.lu_factor(P @ T + sigma2 * np.eye(n))
+    d = np.diag(lu)
+    if (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(np.sign(d)) <= 0.0:
+        raise linalg.NotPositiveDefinite("P Phi^T Phi + sigma2 I has a non-positive determinant")
+    return (lu, piv), float(np.sum(np.log(np.abs(d))))
+
+
 def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
     """Least squares FIR fit of order n (no prior)."""
-    phi = build_circulant_regressor(record.u, n)
-    gram = phi.T @ phi
+    gram, b = _normal_equations(record.u, n, record.y)
     # rounding can carry a rank-deficient gram through the factorization
     if np.linalg.cond(gram) > 1.0 / np.finfo(float).eps:
         raise SingularRegressor("Phi^T Phi is singular")
     try:
-        theta = linalg.solve(gram, phi.T @ record.y)
+        theta = linalg.solve(gram, b)
     except linalg.NotPositiveDefinite:
         raise SingularRegressor("Phi^T Phi is singular") from None
     return FirEstimate(theta, None, "LS")
@@ -146,28 +182,20 @@ def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
 def rls_estimate(record: DataRecord, P: SymMatrix, sigma2: float) -> FirEstimate:
     """Regularized least squares fit under prior covariance P and noise sigma2.
 
-    theta = P Phi^T (Phi P Phi^T + sigma2 I)^{-1} y, with posterior covariance
-    P - P Phi^T (Phi P Phi^T + sigma2 I)^{-1} Phi P.
+    theta = (Phi^T Phi + sigma2 P^{-1})^{-1} Phi^T y; the posterior covariance
+    is bayesian_mse(u, P, sigma2), so theta = posterior @ Phi^T y / sigma2.
     """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    Pm = linalg.as_sym(P).a
-    n = Pm.shape[0]
-    phi = build_circulant_regressor(record.u, n)
-    N = phi.shape[0]
-    f = phi @ Pm @ phi.T + sigma2 * np.eye(N)
-    sol = linalg.solve(f, np.column_stack([record.y, phi @ Pm]))
-    theta = Pm @ phi.T @ sol[:, 0]
-    post = Pm - Pm @ phi.T @ sol[:, 1:]
-    return FirEstimate(theta, SymMatrix(post), "RLS")
+    post = bayesian_mse(record.u, P, sigma2)
+    b = _lag_products(record.u.values, record.y, post.dim)
+    return FirEstimate(post.a @ b / sigma2, post, "RLS")
 
 
 def bayesian_mse(u, P: SymMatrix, sigma2: float, n: int | None = None) -> SymMatrix:
     """Bayesian MSE matrix sigma2 * (Phi^T Phi + sigma2 P^{-1})^{-1}.
 
-    Coincides with the posterior covariance of rls_estimate; computed in the
-    P-form so no explicit inverse of P is needed.  For u = 0 it reduces to the
-    prior covariance P.
+    Phi^T Phi = Toeplitz(r), so this is the design layer's sigma2 Q(r)^{-1}.
+    Computed as sigma2 M^{-1} P, so no inverse of P is needed; for u = 0 it
+    reduces to the prior covariance P.
     """
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
@@ -176,23 +204,26 @@ def bayesian_mse(u, P: SymMatrix, sigma2: float, n: int | None = None) -> SymMat
         n = Pm.shape[0]
     if Pm.shape[0] != n:
         raise ValueError("P must be n x n")
-    phi = build_circulant_regressor(u, n)
-    N = phi.shape[0]
-    f = phi @ Pm @ phi.T + sigma2 * np.eye(N)
-    return SymMatrix(Pm - Pm @ phi.T @ linalg.solve(f, phi @ Pm))
+    lu, _ = _factor(Pm, scipy.linalg.toeplitz(_lag_products(_values(u), None, n)), sigma2)
+    return SymMatrix(sigma2 * scipy.linalg.lu_solve(lu, Pm))
+
+
+def _eb_value(P: np.ndarray, T: np.ndarray, b: np.ndarray, yy: float, N: int, sigma2: float) -> float:
+    # matrix determinant lemma and Woodbury identity on F = Phi P Phi^T + sigma2 I:
+    # log det F = (N - n) log sigma2 + log det M, y^T F^{-1} y = (y^T y - b^T M^{-1} P b) / sigma2
+    lu, logdet_m = _factor(P, T, sigma2)
+    quad = (yy - float(b @ scipy.linalg.lu_solve(lu, P @ b))) / sigma2
+    return quad + (N - T.shape[0]) * np.log(sigma2) + logdet_m
 
 
 def eb_objective(spec: KernelSpec, y, u, sigma2: float) -> float:
-    """Marginal-likelihood objective y^T F^{-1} y + log det F, F = Phi P Phi^T + sigma2 I."""
+    """Marginal-likelihood objective y^T F^{-1} y + log det F, F = Phi P Phi^T + sigma2 I.
+
+    Evaluated in n x n form; raises NotPositiveDefinite where rounding leaves det M <= 0.
+    """
     y = np.asarray(y, dtype=float)
-    phi = build_circulant_regressor(u, spec.n)
-    if y.shape != (phi.shape[0],):
-        raise ValueError("y must have one sample per input sample")
-    Pm = build_kernel(spec).a
-    f = phi @ Pm @ phi.T + sigma2 * np.eye(phi.shape[0])
-    L = linalg.cholesky(f, jitter=True)
-    half = scipy.linalg.solve_triangular(L, y, lower=True)
-    return float(half @ half + 2.0 * np.sum(np.log(np.diag(L))))
+    T, b = _normal_equations(u, spec.n, y)
+    return _eb_value(build_kernel(spec).a, T, b, float(y @ y), y.size, sigma2)
 
 
 _DEFAULT_GRID = {
@@ -239,10 +270,14 @@ def fit_hyperparameters(
     axes = [np.log10(g["c"])] + [g[k] for k in keys[1:]]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
+    y = np.asarray(y, dtype=float)
+    T, b = _normal_equations(u, n, y)
+    yy = float(y @ y)
+
     def objective(x):
         try:
-            spec = KernelSpec(family, n, _clip_params(family, x))
-            return eb_objective(spec, y, u, sigma2)
+            P = build_kernel(KernelSpec(family, n, _clip_params(family, x))).a
+            return _eb_value(P, T, b, yy, y.size, sigma2)
         except (linalg.NotPositiveDefinite, InvalidHyperparameter):
             return np.inf
 

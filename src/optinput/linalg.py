@@ -1,9 +1,9 @@
 """Dense symmetric-matrix services shared by the design and estimation layers.
 
-Everything downstream (criterion values, gradients, posterior covariances)
-funnels through the handful of operations here, so failure modes are
-centralized: factorizations raise :class:`NotPositiveDefinite`, iterative
-routines raise :class:`ConvergenceFailure` when their budget runs out.
+Criterion values, gradients and least-squares solves funnel through the
+handful of operations here, thin layers over LAPACK (Cholesky factors and the
+symmetric eigensolver), so the failure mode is centralized: factorizations
+raise :class:`NotPositiveDefinite`.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import scipy.linalg
 
 class NotPositiveDefinite(Exception):
     """A factorization or solve required a positive definite matrix."""
-
-
-class ConvergenceFailure(Exception):
-    """An iterative routine exhausted its iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -50,48 +46,24 @@ def as_sym(m) -> SymMatrix:
     return m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
 
 
-def cholesky(m, jitter: bool = False) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == m.
-
-    Parameters
-    ----------
-    m : SymMatrix or array-like
-        Matrix to factor; must be positive definite.
-    jitter : bool
-        If True and the plain factorization fails, retry once after adding
-        eps * I with eps = 1e-12 * trace(m) / dim.  Intended for
-        hyperparameter searches that probe near-singular kernels.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization fails (after the jitter retry, when enabled).
-    """
-    a = as_sym(m).a
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular factor L with L @ L.T == m; NotPositiveDefinite if m is not PD."""
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(as_sym(m).a)
     except np.linalg.LinAlgError:
-        if not jitter:
-            raise NotPositiveDefinite("Cholesky factorization failed") from None
-    eps = max(1e-12 * abs(np.trace(a)) / a.shape[0], np.finfo(float).tiny)
-    try:
-        return np.linalg.cholesky(a + eps * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "Cholesky factorization failed even with jitter"
-        ) from None
+        raise NotPositiveDefinite("Cholesky factorization failed") from None
 
 
-def solve(m, b, jitter: bool = False) -> np.ndarray:
+def solve(m, b) -> np.ndarray:
     """Solve m @ x = b for positive definite m via its Cholesky factor."""
-    L = cholesky(m, jitter=jitter)
+    L = cholesky(m)
     return scipy.linalg.cho_solve((L, True), np.asarray(b, dtype=float))
 
 
-def inverse(m, jitter: bool = False) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Inverse of a positive definite matrix (n triangular solves)."""
     a = as_sym(m).a
-    return solve(a, np.eye(a.shape[0]), jitter=jitter)
+    return solve(a, np.eye(a.shape[0]))
 
 
 def logdet(m) -> float:
@@ -111,71 +83,11 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def min_eigpair(m, tol: float = 1e-10, max_iter: int = 100):
+def min_eigpair(m):
     """Smallest eigenvalue of a symmetric matrix with a unit eigenvector.
 
-    Shifted inverse iteration with Rayleigh-quotient refinement, started from
-    the deterministic all-ones vector.  A candidate pair is accepted only
-    after a positive definiteness probe confirms no eigenvalue lies below it;
-    if the start vector was (numerically) orthogonal to the bottom eigenspace
-    the iteration restarts from a fixed pseudorandom vector.
-
-    Returns
-    -------
-    (lam, v) : (float, np.ndarray)
-        Eigenpair with residual norm(m @ v - lam * v) <= tol * norm(m).
-
-    Raises
-    ------
-    ConvergenceFailure
-        If no start vector converges within max_iter iterations.
+    LAPACK's symmetric eigensolver restricted to the bottom of the spectrum;
+    the vector is oriented by its largest-magnitude component.
     """
-    a = as_sym(m).a
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a, "fro"))
-    if n == 1:
-        return float(a[0, 0]), np.ones(1)
-    if scale == 0.0:
-        return 0.0, np.ones(n) / np.sqrt(n)
-
-    d = np.diag(a)
-    gersh_lo = float(np.min(d - (np.sum(np.abs(a), axis=1) - np.abs(d))))
-    eye = np.eye(n)
-    rng = np.random.default_rng(12345)
-    starts = [np.ones(n)] + [rng.standard_normal(n) for _ in range(2)]
-
-    for v0 in starts:
-        v = v0 / np.linalg.norm(v0)
-        shift = gersh_lo - max(1e-8 * scale, np.finfo(float).tiny)
-        lam = float(v @ a @ v)
-        accepted = None
-        for it in range(max_iter):
-            try:
-                L = np.linalg.cholesky(a - shift * eye)
-            except np.linalg.LinAlgError:
-                # shift crossed into the spectrum; back off toward the bound
-                shift -= max(abs(lam - shift), 1e-6 * scale)
-                continue
-            w = scipy.linalg.cho_solve((L, True), v)
-            v = w / np.linalg.norm(w)
-            lam = float(v @ a @ v)
-            res = float(np.linalg.norm(a @ v - lam * v))
-            if res <= tol * scale:
-                accepted = (lam, v, res)
-                break
-            if it >= 1:
-                # Rayleigh refinement: track the estimate from strictly below
-                shift = lam - max(3.0 * res, 1e-14 * scale)
-        if accepted is None:
-            continue
-        lam, v, res = accepted
-        # reject a converged pair that is not the bottom of the spectrum
-        delta = max(10.0 * res, 1e-10 * scale)
-        try:
-            np.linalg.cholesky(a - (lam - delta) * eye)
-            return lam, _canonical_sign(v)
-        except np.linalg.LinAlgError:
-            continue
-    raise ConvergenceFailure(
-        f"min_eigpair did not converge within {max_iter} iterations"
-    )
+    lam, v = scipy.linalg.eigh(as_sym(m).a, subset_by_index=[0, 0])
+    return float(lam[0]), _canonical_sign(v[:, 0])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from optinput.design_map import (
     CorrelationVector,
     InvalidWeights,
-    TrigBasis,
     build_S,
     build_W,
     check_weights,
@@ -33,11 +32,6 @@ class TestTrigVectors:
         for N in (5, 8, 9):
             for j in range(1, N):
                 assert np.allclose(xi(N, j), xi(N, N - j), atol=1e-12)
-
-    def test_basis_handle(self):
-        b = TrigBasis(6)
-        assert np.array_equal(b.xi(2), xi(6, 2))
-        assert np.array_equal(b.zeta(1), zeta(6, 1))
 
 
 class TestCorrelationVector:
@@ -258,6 +252,18 @@ class TestRecoverInput:
             circular_correlation(flipped.values, n),
             atol=1e-8 * 5.0,
         )
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 50])
+    def test_matches_the_dense_basis(self, N):
+        # the inverse real DFT reproduces u = W (signs * sqrt(E a)) column by column
+        rng = np.random.default_rng(100 + N)
+        energy = 3.5
+        for _ in range(10):
+            a = rng.dirichlet(np.ones(N))
+            signs = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+            u = recover_input(a, energy, N, sign_pattern=signs)
+            expected = build_W(N) @ (signs * np.sqrt(energy * a))
+            assert np.max(np.abs(u.values - expected)) <= 1e-12 * np.sqrt(energy)
 
     def test_random_signs_are_seeded(self):
         a = np.full(10, 0.1)

@@ -308,6 +308,19 @@ class TestSolve:
         s = solve(p)
         assert s.value <= eval_criterion(p, p.r_dagger())
 
+    @pytest.mark.parametrize("name", ["Ridge-N4", "DI-N4", "DI-N7"])
+    def test_e_stops_at_once_when_r_dagger_is_optimal(self, name):
+        # Ridge meets the trace bound n sigma2 / tr Q at r_dagger; on DI the
+        # bottom eigenvector is e_1, so the subgradient vanishes there
+        family, N = name.split("-N")
+        params = {"c": 1.0} if family == "Ridge" else {"c": 1.0, "lam": 0.8}
+        p = DesignProblem(KernelSpec(family, 4, params), 0.5, 4, int(N), 1.0, "E")
+        s = solve(p)
+        assert s.certificate.converged
+        assert s.certificate.iterations <= 2
+        assert np.allclose(s.r, p.r_dagger(), atol=1e-12)
+        assert s.value == pytest.approx(eval_criterion(p, p.r_dagger()), rel=1e-12)
+
 
 class TestNewtonPath:
     @pytest.mark.parametrize("criterion", ["D", "A"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pd_matrix
@@ -9,6 +10,7 @@ from optinput.estimator import (
     InputSequence,
     OrderTooLarge,
     SingularRegressor,
+    _clip_params,
     bayesian_mse,
     build_circulant_regressor,
     eb_objective,
@@ -17,7 +19,7 @@ from optinput.estimator import (
     ls_estimate,
     rls_estimate,
 )
-from optinput.kernels import InvalidHyperparameter, KernelSpec, build_kernel
+from optinput.kernels import InvalidHyperparameter, KernelSpec, build_kernel, kernel_inverse
 
 
 def white_record(seed, n, N, sigma2, theta=None, energy=None):
@@ -253,7 +255,107 @@ class TestEbObjective:
         assert central == pytest.approx(forward, rel=1e-3)
 
 
+def dense_estimates(spec, u, y, sigma2):
+    """RLS estimate, posterior and EB objective through F = Phi P Phi^T + sigma2 I."""
+    phi = build_circulant_regressor(u, spec.n)
+    P = build_kernel(spec).a
+    F = phi @ P @ phi.T + sigma2 * np.eye(y.size)
+    sol = np.linalg.solve(F, np.column_stack([y, phi @ P]))
+    theta = P @ phi.T @ sol[:, 0]
+    post = P - P @ phi.T @ sol[:, 1:]
+    return theta, post, float(y @ sol[:, 0]) + np.linalg.slogdet(F)[1]
+
+
+class TestLongRecords:
+    @pytest.mark.parametrize(
+        "spec, N",
+        [
+            (KernelSpec("TC", 30, {"c": 1.0, "lam": 0.9}), 512),
+            (KernelSpec("DC", 30, {"c": 2.0, "lam": 0.85, "rho": 0.6}), 256),
+        ],
+    )
+    def test_n_by_n_form_matches_the_dense_formulas(self, spec, N):
+        sigma2 = 0.3
+        rec, _ = white_record(20, n=spec.n, N=N, sigma2=sigma2)
+        theta, post, eb = dense_estimates(spec, rec.u.values, rec.y, sigma2)
+        P = build_kernel(spec)
+        est = rls_estimate(rec, P, sigma2)
+        assert np.linalg.norm(est.theta - theta) <= 1e-9 * np.linalg.norm(theta)
+        assert np.max(np.abs(est.posterior_cov.a - post)) <= 1e-9 * np.max(np.abs(post))
+        mse = bayesian_mse(rec.u, P, sigma2)
+        assert np.max(np.abs(mse.a - post)) <= 1e-9 * np.max(np.abs(post))
+        assert eb_objective(spec, rec.y, rec.u.values, sigma2) == pytest.approx(eb, rel=1e-9)
+
+
+class TestEbBoxCorners:
+    # P underflows or dwarfs sigma2 here; the n x n form never inverts P
+    @pytest.mark.parametrize(
+        "family, params, rel",
+        [
+            ("DI", {"c": 1.0, "lam": 1e-8}, 1e-9),
+            ("TC", {"c": 1.0, "lam": 1e-8}, 1e-9),
+            ("Ridge", {"c": 1e-12}, 1e-9),
+            # F has condition ~1e14 here, so the dense evaluation itself is only good to ~1e-4
+            ("TC", {"c": 1e12, "lam": 0.9}, 1e-3),
+        ],
+    )
+    def test_corner_is_finite_and_matches_the_dense_evaluation(self, family, params, rel):
+        rng = np.random.default_rng(16)
+        n, N, sigma2 = 10, 64, 0.5
+        u, y = rng.standard_normal(N), rng.standard_normal(N)
+        spec = KernelSpec(family, n, params)
+        value = eb_objective(spec, y, u, sigma2)
+        assert np.isfinite(value)
+        assert value == pytest.approx(dense_estimates(spec, u, y, sigma2)[2], rel=rel)
+        grid = {k: [v] for k, v in params.items()}
+        fit = fit_hyperparameters(y, u, n, sigma2, family=family, grid=grid, refine=False)
+        assert fit.params == pytest.approx(params, rel=1e-12)
+
+    def test_large_prior_matches_the_information_form(self):
+        # log det F = (N - n) log sigma2 + log det P + log det Q and
+        # y^T F^{-1} y = (y^T y - b^T Q^{-1} b) / sigma2, Q = Phi^T Phi + sigma2 P^{-1},
+        # which stays well conditioned where F does not
+        rng = np.random.default_rng(16)
+        n, N, sigma2 = 10, 64, 0.5
+        u, y = rng.standard_normal(N), rng.standard_normal(N)
+        spec = KernelSpec("TC", n, {"c": 1e12, "lam": 0.9})
+        phi = build_circulant_regressor(u, n)
+        Q = phi.T @ phi + sigma2 * kernel_inverse(spec).a
+        b = phi.T @ y
+        expected = (
+            (float(y @ y) - float(b @ np.linalg.solve(Q, b))) / sigma2
+            + (N - n) * np.log(sigma2)
+            + np.linalg.slogdet(build_kernel(spec).a)[1]
+            + np.linalg.slogdet(Q)[1]
+        )
+        assert eb_objective(spec, y, u, sigma2) == pytest.approx(expected, rel=1e-9)
+
+
 class TestFitHyperparameters:
+    def test_matches_the_probe_by_probe_search(self):
+        # the same grid scan and Nelder-Mead polish, each probe through eb_objective
+        n, N, sigma2 = 6, 64, 0.3
+        rec, _ = white_record(17, n=n, N=N, sigma2=sigma2)
+        u, y = rec.u.values, rec.y
+        grid = {"c": [0.1, 1.0, 10.0], "lam": [0.6, 0.8, 0.95]}
+
+        def objective(x):
+            try:
+                return eb_objective(KernelSpec("TC", n, _clip_params("TC", x)), y, u, sigma2)
+            except (linalg.NotPositiveDefinite, InvalidHyperparameter):
+                return np.inf
+
+        mesh = [np.array([np.log10(c), lam]) for c in grid["c"] for lam in grid["lam"]]
+        values = [objective(x) for x in mesh]
+        x_best = mesh[int(np.argmin(values))]
+        res = scipy.optimize.minimize(
+            objective, x_best, method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-4, "fatol": 1e-9}
+        )
+        if np.isfinite(res.fun) and res.fun <= min(values):
+            x_best = res.x
+        spec = fit_hyperparameters(y, u, n, sigma2, family="TC", grid=grid)
+        assert spec.params == pytest.approx(_clip_params("TC", x_best), rel=1e-12)
+
     def test_single_grid_point_returned(self):
         rng = np.random.default_rng(13)
         u, y = rng.standard_normal(10), rng.standard_normal(10)
