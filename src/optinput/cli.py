@@ -131,6 +131,11 @@ def cmd_mc(args) -> int:
     summary = run_monte_carlo(config)
     for policy, stats in summary["policies"].items():
         print(f"{policy}: mean fit {stats['mean']:.2f} (n={stats['count']})")
+    for crit, designs in summary["designs"].items():
+        print(
+            f"{crit} designs: {designs['converged']} converged, {designs['unconverged']} unconverged, "
+            f"worst gap {designs['worst_gap']:.3g}"
+        )
     print(f"wrote {config.output_dir}/fits.csv and summary.json")
     return EXIT_OK
 

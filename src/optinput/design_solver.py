@@ -7,21 +7,19 @@ vertices E xi_j(0:n); all three criteria are convex functions of
 
     Q(r) = Toeplitz(r) + sigma2 * P^{-1}.
 
-The smooth criteria (D, A) are solved interior-first: a damped Newton method
-in the free correlations r_1..r_{n-1}, started at r_dagger = (E, 0, .., 0),
-with closed-form gradient and Hessian from one Q(r)^{-1} per iteration.  It
-stops on the Frank-Wolfe duality gap at the iterate.  One nonnegative
-least-squares solve then recovers vertex weights; when they reproduce the
-iterate to roundoff the point lies in the polytope, and the duality gap at
-the reconstructed r certifies it.  When the optimum leaves the polytope (or
-the gap is not met) the solve falls back to Frank-Wolfe over the vertex
-weights, with away steps and an exact line search on the 1-D restriction
-(closed form via a generalized eigendecomposition), certified by the same gap
-at the returned point.  The nonsmooth criterion (E) uses a projected
-subgradient method started at r_dagger, with best-iterate tracking, that stops
-early when it meets the trace lower bound n sigma2 / tr Q.  A chunked
-brute-force grid scan over the weight simplex serves as an independent oracle
-for small K.
+One projected Newton loop solves all three.  Each iteration takes the Newton
+point of a smooth convex function of the free correlations r_1..r_{n-1},
+projects it onto the polytope in the Hessian metric (one nonnegative
+least-squares solve over the vertices, then an exact re-solve on its support),
+and backtracks on the segment to that projection.  Both ends of the segment
+are feasible, so every iterate is, and the Frank-Wolfe gap at an iterate is a
+true bound.  D and A run the loop on their own value from r_dagger =
+(E, 0, .., 0), with closed-form gradient and Hessian from one Q(r)^{-1}, and
+are certified by that gap.  E runs it along the log-det barrier path of its
+semidefinite form, max t s.t. Q(r) - t I >= 0, and is certified by the dual
+point Z = G / tr G, G = (Q - t I)^{-1}, which bounds the optimal value from
+below.  A chunked brute-force grid scan over the weight simplex serves as an
+independent oracle for small K.
 """
 
 from __future__ import annotations
@@ -84,33 +82,25 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and budgets for solve(); defaults favor accuracy over speed.
+    """Tolerance and budget for solve(); defaults favor accuracy over speed.
 
-    gap_rel_tol is the D/A stop: duality gap <= gap_rel_tol * |value|.
-    max_iter bounds the Newton iterations and, separately, the Frank-Wolfe
-    iterations of the fallback.  Both stop early at a numerical floor: after
-    stall_iters iterations without a gap improvement, they report converged
-    when the gap is within 1e-8 * |value|.  The subgradient method stops on
-    its budget or when the best value has stalled (relative spread below
-    subgrad_spread_tol over the trailing window).
+    One convergence rule for D, A and E: a design is converged when its
+    certified gap is <= gap_rel_tol * |value|, or <= 1e-8 * |value| when the
+    loop stalls at roundoff (no step lowers the value or shrinks the gap, or
+    the E barrier path reaches s * lambda_min > 1e11).  max_iter bounds the
+    Newton steps.
     """
 
     gap_rel_tol: float = 1e-13
     max_iter: int = 5000
-    line_search_iters: int = 60
-    stall_iters: int = 200
-    subgrad_iters: int = 20000
-    subgrad_gamma0: float = 1.0
-    subgrad_spread_tol: float = 1e-7
-    subgrad_check_every: int = 100
-    subgrad_min_iters: int = 1000
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """How a design was found: the gap at the returned r, the iterations of
-    the method that returned it ("newton", "frank-wolfe", "subgradient" or
-    "grid"), and whether the gap met its target."""
+    """How a design was found: the gap at the returned r (value minus a lower
+    bound on the optimum), the Newton steps or grid points of the method that
+    returned it ("newton" for D/A, "barrier" for E, or "grid"), and whether
+    the gap met its target."""
 
     gap: float
     iterations: int
@@ -213,39 +203,8 @@ def gradient_in_r(problem: DesignProblem, r, p_inv=None) -> np.ndarray:
     return -(problem.sigma2 / lam**2) * quad
 
 
-def _segment_minimizer(problem, Q0: np.ndarray, D: np.ndarray, t_max: float, iters: int) -> float:
-    """Exact line search for the smooth criteria along Q(t) = Q0 + t D, t in [0, t_max].
-
-    With mu, U the eigensystem of L^{-1} D L^{-T} (Q0 = L L^T), the derivative
-    is a closed-form rational function of t, and h is convex, so bisection on
-    h' is exact to the bit budget.
-    """
-    L = np.linalg.cholesky(Q0)
-    B = scipy.linalg.solve_triangular(L, D, lower=True)
-    B = scipy.linalg.solve_triangular(L, B.T, lower=True)
-    mu, U = np.linalg.eigh((B + B.T) / 2.0)
-    if problem.criterion == "D":
-        def deriv(t):
-            return -np.sum(mu / (1.0 + t * mu))
-    else:  # A
-        M = scipy.linalg.solve_triangular(L, U, lower=True, trans="T")
-        c = np.sum(M * M, axis=0)
-        def deriv(t):
-            return -problem.sigma2 * np.sum(c * mu / (1.0 + t * mu) ** 2)
-    if deriv(t_max) <= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-_GAP_FLOOR = 1e-8  # relative gap accepted when an iteration stalls at roundoff
-_NNLS_ROUNDOFF = 1e-12  # membership residual of a point inside the polytope
+_GAP_FLOOR = 1e-8  # relative gap accepted when the loop stalls at roundoff
+_BARRIER_LIMIT = 1e11  # s * lambda_min beyond which the barrier terms lose their digits
 
 
 def _toeplitz_bands(n: int) -> np.ndarray:
@@ -292,194 +251,172 @@ def _smooth_terms(problem, r: np.ndarray, p_inv: np.ndarray, bands: np.ndarray |
     return value, -sigma2 * np.einsum("iaa->i", G2B), sigma2 * (C + C.T)
 
 
-def _newton(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
-    """Damped Newton in r[1:] from r_dagger, certified only for an optimum inside the polytope.
+def _barrier_terms(problem, r: np.ndarray, p_inv: np.ndarray, s: float, bands: np.ndarray | None):
+    """E_s(r) = min_t [-s t - log det(Q(r) - t I)], with gradient and Hessian in r[1:] unless bands is None.
 
-    Stops on the Frank-Wolfe gap at the iterate (a bound once the iterate is
-    feasible), then recovers vertex weights with one exact NNLS solve of
-    [V^T / E; 1^T] w = [r / E; 1].  Returns (w, r, value, cert) with the gap
-    recomputed at r = V^T w, or None when the iterate is not in the polytope
-    or its gap misses the target; the caller then falls back to Frank-Wolfe.
+    The minimizing t solves sum_i 1/(lam_i - t) = s; Newton on x = lam_0 - t from
+    x = 1/s, where the sum is >= s, rises monotonically to the root.  With
+    G = (Q - t I)^{-1} and F the bracket, g_i = -tr(G B_i) and the Hessian is
+    F_rr - F_rt F_rt^T / F_tt, F_rr = tr(G B_i G B_k), F_rt = -tr(G^2 B_i),
+    F_tt = tr G^2.  With derivatives, also returns lambda_min(Q) and G.
     """
-    E = problem.energy
-    bands = _toeplitz_bands(problem.n)[1:]
-    r = problem.r_dagger()
-    tol = opts.gap_rel_tol
-    best_gap, stall, stalled, it = np.inf, 0, False, 0
-    for it in range(1, opts.max_iter + 1):
-        value, g, H = _smooth_terms(problem, r, p_inv, bands)
+    Q = scipy.linalg.toeplitz(r) + problem.sigma2 * p_inv
+    if bands is None:
+        lam = np.linalg.eigvalsh(Q)
+    else:
+        lam, U = np.linalg.eigh(Q)
+    delta = lam - lam[0]
+    x = 1.0 / s
+    while True:
+        inv = 1.0 / (delta + x)
+        x_next = x + (float(np.sum(inv)) - s) / float(inv @ inv)
+        if not x_next > x:
+            break
+        x = x_next
+    d = delta + x
+    value = -s * (lam[0] - x) - float(np.sum(np.log(d)))
+    if bands is None:
+        return value, None, None
+    G = (U / d) @ U.T
+    GB = G @ bands
+    f_rt = -np.einsum("iaa->i", G @ GB)
+    H = np.einsum("iab,kba->ik", GB, GB) - np.outer(f_rt, f_rt) / float(np.sum(1.0 / d**2))
+    return value, -np.einsum("iaa->i", GB), H, lam[0], G
+
+
+def _project(V1: np.ndarray, L: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Point of conv(rows of V1) nearest to z in the metric H = L L^T.
+
+    One NNLS of [L^T V1^T; M 1^T] w ~ [L^T z; M] finds the active vertices; its
+    penalty row leaves sum(w) off 1, so w is re-solved on that support by
+    least squares with sum(w) = 1 exactly (kept when it stays nonnegative).
+    """
+    A = L.T @ V1.T
+    b = L.T @ z
+    M = 1e3 * float(np.max(np.abs(A)))
+    w, _ = scipy.optimize.nnls(np.vstack([A, np.full(A.shape[1], M)]), np.append(b, M))
+    S = np.flatnonzero(w)
+    y = np.linalg.lstsq(A[:, S[:-1]] - A[:, S[-1:]], b - A[:, S[-1]], rcond=None)[0]
+    if np.all(y >= 0.0) and y.sum() <= 1.0:
+        w[S] = np.append(y, 1.0 - y.sum())
+    return (w / w.sum()) @ V1
+
+
+def _descend(terms, V: np.ndarray, r: np.ndarray):
+    """Projected Newton iterates of a smooth convex function of r[1:] over the polytope.
+
+    terms(r, derivs) returns a tuple led by the value, the gradient g and the
+    Hessian H in r[1:] (None beyond the value unless derivs), or None where the
+    function is undefined.  Each step projects the Newton point r[1:] - H^{-1} g
+    onto the polytope in the H metric and backtracks (Armijo) on the segment
+    from r to that projection.  Both ends are feasible, so every iterate is,
+    and its Frank-Wolfe gap bounds value - optimum.  Yields (r, gap, terms(r,
+    True)) from the start r on.  Returns once no step lowers the value, or a
+    step that only held it within roundoff did not shrink the gap: the loop
+    has stalled at roundoff.
+    """
+    V1, eps = V[:, 1:], np.finfo(float).eps
+    prev_gap, flat = np.inf, False
+    while True:
+        out = terms(r, True)
+        value, g, H = out[:3]
         gap = _duality_gap(V, r, g)
-        if gap <= tol * abs(value) + np.finfo(float).tiny:
-            break
-        if gap < best_gap * 0.999:
-            best_gap, stall = gap, 0
-        else:
-            stall += 1
-            if stall >= opts.stall_iters:
-                stalled = True
-                break
+        if flat and not gap < prev_gap:
+            return
+        yield r, gap, out
         try:
-            step = -scipy.linalg.solve(H, g, assume_a="pos")
+            L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
-            stalled = True
-            break
-        slope = float(g @ step)
-        # Armijo backtracking, also whenever Q leaves the PD cone; a rise within
-        # the value's roundoff is accepted, so steps near the optimum go through
-        slack = 8.0 * np.finfo(float).eps * abs(value)
+            return
+        d = _project(V1, L, r[1:] - scipy.linalg.cho_solve((L, True), g)) - r[1:]
+        slope = float(g @ d)
+        # a rise within the value's roundoff passes, so Newton steps near the optimum go through
+        slack = 8.0 * eps * abs(value)
         t = 1.0
-        while t > 1e-12:
+        while True:
             trial = r.copy()
-            trial[1:] += t * step
-            terms = _smooth_terms(problem, trial, p_inv, None)
-            if terms is not None and terms[0] <= value + 0.25 * t * slope + slack:
+            trial[1:] += t * d
+            new = terms(trial, False)
+            if new is not None and new[0] <= value + 0.25 * t * slope + slack:
                 break
             t *= 0.5
+            if t < 1e-12:
+                return
+        flat, prev_gap, r = not new[0] < value, gap, trial
+
+
+def _vertex_weights(V: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Basic vertex weights of a point of the polytope: one NNLS of [V^T / E; 1^T] w = [r / E; 1]."""
+    w, _ = scipy.optimize.nnls(np.vstack([V.T / r[0], np.ones(V.shape[0])]), np.append(r / r[0], 1.0))
+    return w / w.sum()
+
+
+def _certificate(gap: float, value: float, iterations: int, stalled: bool, method: str, opts) -> Certificate:
+    """The one convergence rule: gap <= gap_rel_tol |value|, or <= 1e-8 |value| after a stall."""
+    met = gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny
+    converged = met or (stalled and gap <= _GAP_FLOOR * abs(value))
+    return Certificate(gap=float(gap), iterations=iterations, converged=bool(converged), method=method)
+
+
+def _newton_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
+    """D/A: projected Newton on the criterion from r_dagger, certified by the Frank-Wolfe gap."""
+    bands = _toeplitz_bands(problem.n)[1:]
+
+    def terms(r, derivs):
+        return _smooth_terms(problem, r, p_inv, bands if derivs else None)
+
+    it, stalled = 0, True
+    for it, (r, gap, (value, _, _)) in enumerate(_descend(terms, V, problem.r_dagger())):
+        if gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny or it == opts.max_iter:
+            stalled = False
+            break
+    w = _vertex_weights(V, r)
+    r = V.T @ w
+    value, g, _ = terms(r, True)
+    return w, r, value, _certificate(_duality_gap(V, r, g), value, it, stalled, "newton", opts)
+
+
+def _e_bound(problem, V: np.ndarray, p_inv: np.ndarray, Z: np.ndarray) -> float:
+    """sigma2 / max_r <Z, Q(r)> over the polytope, for Z >= 0 with tr Z = 1.
+
+    lambda_min(Q(r)) <= <Z, Q(r)> and <Z, Toeplitz(r)> is linear in r, so its
+    maximum over the vertices bounds the optimal E value from below.
+    """
+    z = np.append(np.trace(Z), _band_sums(Z))
+    return problem.sigma2 / (problem.sigma2 * float(np.sum(Z * p_inv)) + float(np.max(V @ z)))
+
+
+def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
+    """E: projected Newton along the log-det barrier path of max t s.t. Q(r) - t I >= 0.
+
+    r_dagger is tested first with Z = v v^T from its bottom eigenvector.  Then
+    E_s is minimized from s = n / lambda_min(Q(r_dagger)) on, s growing tenfold
+    once the barrier's own gap is below 1.  Each iterate's G gives the dual
+    point Z = G / tr G; the best value and the best bound make the certificate.
+    """
+    n, sigma2, tol = problem.n, problem.sigma2, opts.gap_rel_tol
+    bands = _toeplitz_bands(n)[1:]
+    r = problem.r_dagger()
+    lam, U = np.linalg.eigh(scipy.linalg.toeplitz(r) + sigma2 * p_inv)
+    best_r, best, bound = r, sigma2 / lam[0], _e_bound(problem, V, p_inv, np.outer(U[:, 0], U[:, 0]))
+    s, lam0, it, stalled = n / lam[0], lam[0], 0, False
+    while best - bound > tol * best and it < opts.max_iter and not stalled:
+        steps = _descend(lambda x, derivs: _barrier_terms(problem, x, p_inv, s, bands if derivs else None), V, r)
+        for r, gap, (_, _, _, lam0, G) in steps:
+            if sigma2 / lam0 < best:
+                best_r, best = r, sigma2 / lam0
+            bound = max(bound, _e_bound(problem, V, p_inv, G / np.trace(G)))
+            if best - bound <= tol * best or it == opts.max_iter or gap <= 1.0:
+                break
+            it += 1
         else:
             stalled = True
-            break
-        r = trial
-    K = V.shape[0]
-    w, residual = scipy.optimize.nnls(np.vstack([V.T / E, np.ones(K)]), np.append(r / E, 1.0))
-    if residual > _NNLS_ROUNDOFF:
-        return None
-    w /= w.sum()
-    r = V.T @ w
-    value, g, _ = _smooth_terms(problem, r, p_inv, bands)
-    gap = _duality_gap(V, r, g)
-    met = gap <= tol * abs(value) + np.finfo(float).tiny
-    if not (met or (stalled and gap <= _GAP_FLOOR * abs(value))):
-        return None
-    return w, r, value, Certificate(gap=gap, iterations=it, converged=True, method="newton")
-
-
-def _frank_wolfe(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
-    """Away-step Frank-Wolfe over the vertex weights; returns (w, r, value, cert)."""
-    K = V.shape[0]
-    w = np.full(K, 1.0 / K)
+        stalled = stalled or s * lam0 > _BARRIER_LIMIT
+        s *= 10.0
+    w = _vertex_weights(V, best_r)
     r = V.T @ w
     value = eval_criterion(problem, r, p_inv)
-    gap = 0.0
-    sigma2 = problem.sigma2
-    best_gap = np.inf
-    stall = 0
-    it = 0
-    converged = K == 1 or problem.n == 1
-    for it in range(1, opts.max_iter + 1):
-        g = gradient_in_r(problem, r, p_inv)
-        scores = V[:, 1:] @ g
-        s = int(np.argmin(scores))
-        avg = float(w @ scores)
-        gap = avg - float(scores[s])
-        if gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny:
-            converged = True
-            break
-        if gap < best_gap * 0.999:
-            best_gap = gap
-            stall = 0
-        else:
-            stall += 1
-            if stall >= opts.stall_iters:
-                # numerical floor reached; report the best certified gap
-                converged = gap <= _GAP_FLOOR * abs(value)
-                break
-        support = np.flatnonzero(w > 0.0)
-        v_idx = int(support[np.argmax(scores[support])])
-        gap_away = float(scores[v_idx]) - avg
-        if gap >= gap_away or w[v_idx] >= 1.0:
-            d_r = V[s] - r
-            t_max = 1.0
-            is_away = False
-        else:
-            d_r = r - V[v_idx]
-            t_max = w[v_idx] / (1.0 - w[v_idx])
-            is_away = True
-        D = scipy.linalg.toeplitz(d_r)
-        Q0 = q_of_r(r, p_inv, sigma2).a
-        t = _segment_minimizer(problem, Q0, D, t_max, opts.line_search_iters)
-        if t <= 0.0:
-            converged = gap <= _GAP_FLOOR * abs(value)
-            break
-        if is_away:
-            w *= 1.0 + t
-            w[v_idx] -= t
-            if t >= t_max * (1.0 - 1e-12):
-                w[v_idx] = 0.0
-        else:
-            w *= 1.0 - t
-            w[s] += t
-        w = np.clip(w, 0.0, None)
-        w /= w.sum()
-        r = V.T @ w
-        value = eval_criterion(problem, r, p_inv)
-    else:
-        # the budget ran out after a step: certify the returned point, not its predecessor
-        gap = _duality_gap(V, r, gradient_in_r(problem, r, p_inv))
-        converged = gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny
-    return w, r, value, Certificate(gap=float(gap), iterations=it, converged=bool(converged), method="frank-wolfe")
-
-
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u * np.arange(1, x.size + 1) > css - 1.0)[-1]
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.clip(x - tau, 0.0, None)
-
-
-def _projected_subgradient(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
-    """Projected subgradient descent for the E criterion over the vertex weights.
-
-    Starts at the weights of r_dagger (1/N, 2/N, .., 2/N, and 1/N last for even
-    N), so best-iterate tracking never returns a value above r_dagger's.
-    tr Q(r) = n E + sigma2 tr P^{-1} on the polytope and lambda_min <= tr Q / n, so
-    n sigma2 / tr Q bounds the value below; meeting it within subgrad_spread_tol certifies.
-    """
-    N, n = problem.N, problem.n
-    w = np.full(V.shape[0], 2.0 / N)
-    w[0] = 1.0 / N
-    if N % 2 == 0:
-        w[-1] = 1.0 / N
-    r = V.T @ w
-    sigma2 = problem.sigma2
-    bound = n * sigma2 / (n * problem.energy + sigma2 * float(np.trace(p_inv)))
-    best_value = np.inf
-    best_w, best_r = w.copy(), r.copy()
-    marks: list[float] = []
-    spread = np.inf
-    converged = False
-    it = 0
-    for it in range(1, opts.subgrad_iters + 1):
-        lam, v = linalg.min_eigpair(q_of_r(r, p_inv, sigma2))
-        value = sigma2 / lam
-        if value < best_value:
-            best_value = value
-            best_w, best_r = w.copy(), r.copy()
-        if best_value - bound <= opts.subgrad_spread_tol * abs(best_value):
-            converged = True
-            spread = max(best_value - bound, 0.0)
-            break
-        quad = np.array([2.0 * float(v[: n - i] @ v[i:]) for i in range(1, n)])
-        g = V[:, 1:] @ (-(sigma2 / lam**2) * quad)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            converged = True
-            spread = 0.0
-            break
-        w = _project_simplex(w - (opts.subgrad_gamma0 / np.sqrt(it)) * g / gnorm)
-        r = V.T @ w
-        if it % opts.subgrad_check_every == 0:
-            marks.append(best_value)
-            if len(marks) >= 5:
-                spread = marks[-5] - marks[-1]
-                if it >= opts.subgrad_min_iters and spread <= opts.subgrad_spread_tol * abs(best_value):
-                    converged = True
-                    break
-    if np.isinf(spread):
-        spread = 0.0 if len(marks) < 2 else marks[0] - marks[-1]
-    cert = Certificate(gap=float(spread), iterations=it, converged=bool(converged), method="subgradient")
-    return best_w, best_r, best_value, cert
+    return w, r, value, _certificate(value - bound, value, it, stalled, "barrier", opts)
 
 
 def solve(
@@ -497,11 +434,8 @@ def solve(
     opts = options or SolverOptions()
     p_inv = problem.p_inverse()
     V = vertices(problem.N, problem.n, problem.energy)
-    if problem.criterion in ("D", "A"):
-        found = _newton(problem, V, p_inv, opts)
-        w, r, value, cert = found if found is not None else _frank_wolfe(problem, V, p_inv, opts)
-    else:
-        w, r, value, cert = _projected_subgradient(problem, V, p_inv, opts)
+    design = _barrier_design if problem.criterion == "E" else _newton_design
+    w, r, value, cert = design(problem, V, p_inv, opts)
     a = np.zeros(problem.N)
     a[: w.size] = w
     a = np.clip(a, 0.0, None)

@@ -198,9 +198,8 @@ class McConfig:
     master_seed: int = 0
     output_dir: str = "mc_out"
     system_order: int = 30
-    fw_gap_tol: float = 1e-10
-    fw_max_iter: int = 2000
-    e_iters: int = 20000
+    gap_rel_tol: float = 1e-10
+    max_iter: int = 2000
 
     def __post_init__(self):
         if self.systems < 0:
@@ -219,11 +218,7 @@ class McConfig:
         object.__setattr__(self, "criteria", tuple(self.criteria))
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            gap_rel_tol=self.fw_gap_tol,
-            max_iter=self.fw_max_iter,
-            subgrad_iters=self.e_iters,
-        )
+        return SolverOptions(gap_rel_tol=self.gap_rel_tol, max_iter=self.max_iter)
 
     def to_json(self) -> dict:
         return {
@@ -237,9 +232,8 @@ class McConfig:
             "master_seed": self.master_seed,
             "output_dir": self.output_dir,
             "system_order": self.system_order,
-            "fw_gap_tol": self.fw_gap_tol,
-            "fw_max_iter": self.fw_max_iter,
-            "e_iters": self.e_iters,
+            "gap_rel_tol": self.gap_rel_tol,
+            "max_iter": self.max_iter,
         }
 
     @classmethod

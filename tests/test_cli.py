@@ -180,6 +180,18 @@ class TestMc:
         assert (tmp_path / "out" / "fits.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_prints_design_counts(self, tmp_path, capsys):
+        cfg = {"systems": 1, "n": 12, "N": 24, "energy": 6.0, "criteria": ["A", "E"], "master_seed": 3,
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["mc", "--config", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for crit in ("A", "E"):
+            line = next(line for line in lines if line.startswith(f"{crit} designs:"))
+            assert line.startswith(f"{crit} designs: 1 converged, 0 unconverged, worst gap ")
+            float(line.rsplit(" ", 1)[1])
+
     def test_zero_systems(self, tmp_path, capsys):
         cfg = {"systems": 0, "n": 4, "N": 8, "energy": 1.0, "output_dir": str(tmp_path / "e")}
         path = tmp_path / "mc.json"

@@ -221,7 +221,7 @@ class TestSolve:
         p = ridge_problem("E", c=1.0, sigma2=0.5, energy=2.0)
         s = solve(p)
         exact = 0.5 / (2.0 + 0.5)
-        # the optimum is a hard lower bound; subgradient accuracy is modest
+        # the optimum is a hard lower bound
         assert s.value >= exact - 1e-9
         assert s.value == pytest.approx(exact, rel=2e-2)
 
@@ -289,19 +289,16 @@ class TestSolve:
         assert back.certificate.converged == s.certificate.converged
         assert back.certificate.method == s.certificate.method
 
-    def test_capped_frank_wolfe_certifies_the_returned_point(self):
-        # the optimum is on the boundary, so Newton hands over to Frank-Wolfe,
-        # which stops on the 5-iteration cap right after a step
+    def test_capped_solve_certifies_the_returned_point(self):
+        # the optimum is on a face; one Newton step cannot certify it
         p = dc_problem("D", rho=-0.6, lam=0.8, n=4, N=8, sigma2=0.5)
-        s = solve(p, SolverOptions(max_iter=5))
-        assert s.certificate.method == "frank-wolfe"
-        assert s.certificate.iterations == 5
+        s = solve(p, SolverOptions(max_iter=1))
         assert not s.certificate.converged
         assert s.certificate.gap == pytest.approx(gap_at(p, s.r), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("name", ["Ridge-N4", "DI-N4", "DI-N7"])
     def test_e_is_never_worse_than_r_dagger_on_diagonal_kernels(self, name):
-        # r_dagger is E-optimal here; the subgradient method starts on it
+        # r_dagger is E-optimal here
         family, N = name.split("-N")
         params = {"c": 1.0} if family == "Ridge" else {"c": 1.0, "lam": 0.8}
         p = DesignProblem(KernelSpec(family, 4, params), 0.5, 4, int(N), 1.0, "E")
@@ -347,7 +344,7 @@ class TestNewtonPath:
         # N=4 has K=3 < n vertices; at N=7 strong coupling pushes the optimum to a face
         p = dc_problem(criterion, rho=0.9, lam=0.8, n=4, N=N, sigma2=0.5)
         s = solve(p)
-        assert s.certificate.method == "frank-wolfe"
+        assert s.certificate.method == "newton"
         assert_certified(p, s)
         grid = brute_force_design(p, 60)
         assert s.value <= grid.value + 1e-12
@@ -371,11 +368,53 @@ class TestNewtonPath:
         assert s.value <= grid.value + 1e-12
 
     def test_unit_budget_falls_back_without_losing_the_value(self):
-        # one Newton iteration cannot certify; the fallback's first step is kept
+        # one Newton iteration cannot certify; its step is kept
         p = dc_problem("D", rho=0.3, lam=0.8, n=4, N=12, sigma2=0.5)
         s = solve(p, SolverOptions(max_iter=1))
-        assert s.certificate.method == "frank-wolfe"
+        assert s.certificate.method == "newton"
         assert s.value <= eval_criterion(p, p.r_dagger())
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_face_optimum_at_the_acceptance_size(self, criterion):
+        # the optimal weights use 13-19 of the 26 vertices, so the optimum lies on a face
+        spec = KernelSpec("TC", 20, {"c": 1.0, "lam": 0.9})
+        p = DesignProblem(spec, 0.5, 20, 50, 10.0, criterion)
+        s = solve(p)
+        assert s.certificate.converged
+        if criterion == "E":
+            assert s.certificate.method == "barrier"
+        else:
+            assert s.certificate.iterations <= 20
+            assert_certified(p, s)
+
+
+def lower_bound_violations(problem, s, grid_resolution=24):
+    """Feasible points whose criterion value lies below the certified bound value - gap."""
+    bound = s.value - s.certificate.gap
+    V = vertices(problem.N, problem.n, problem.energy)
+    rng = np.random.default_rng(problem.N)
+    points = [problem.r_dagger(), *V, *(rng.dirichlet(np.ones(len(V)), 300) @ V)]
+    values = [eval_criterion(problem, r) for r in points]
+    if problem.N // 2 + 1 <= 6:
+        values.append(brute_force_design(problem, grid_resolution).value)
+    return [v for v in values if bound > v + 1e-12 * abs(v)]
+
+
+class TestCertificateIsABound:
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("rho", [-0.9, -0.6, 0.0, 0.3, 0.9])
+    def test_weak_duality_on_dc_kernels(self, criterion, rho):
+        for N in (4, 5, 7, 8, 10):
+            p = dc_problem(criterion, rho=rho, lam=0.8, n=4, N=N, sigma2=0.5)
+            assert lower_bound_violations(p, solve(p)) == []
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_weak_duality_on_the_interior_tc_case(self, criterion):
+        spec = KernelSpec("TC", 20, {"c": 1.0, "lam": 0.8})
+        p = DesignProblem(spec, 0.1, 20, 50, 10.0, criterion)
+        s = solve(p)
+        assert s.certificate.converged
+        assert lower_bound_violations(p, s) == []
 
 
 class TestZeroCorrelationTest:
@@ -411,7 +450,7 @@ class TestBruteForce:
         best = min(float(eval_criterion(p, v)) for v in V)
         assert s.value == pytest.approx(best, rel=1e-12)
 
-    @pytest.mark.parametrize("criterion", ["D", "A"])
+    @pytest.mark.parametrize("criterion", CRITERIA)
     def test_agrees_with_the_iterative_solver(self, criterion):
         spec = KernelSpec("DC", 2, {"c": 1.0, "lam": 0.9, "rho": 0.6})
         p = DesignProblem(spec, 1.0, 2, 6, 1.0, criterion)

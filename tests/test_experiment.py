@@ -156,11 +156,10 @@ class TestMcConfig:
         assert back == cfg
 
     def test_solver_options_mapping(self):
-        cfg = McConfig(systems=1, n=4, N=8, energy=1.0, fw_gap_tol=1e-9, fw_max_iter=77, e_iters=123)
+        cfg = McConfig(systems=1, n=4, N=8, energy=1.0, gap_rel_tol=1e-9, max_iter=77)
         opts = cfg.solver_options()
         assert opts.gap_rel_tol == 1e-9
         assert opts.max_iter == 77
-        assert opts.subgrad_iters == 123
 
 
 class TestRunSingleSystem:
@@ -200,7 +199,7 @@ class TestRunMonteCarlo:
         assert on_disk == summary
 
     def test_unconverged_designs_are_counted(self, tmp_path, caplog):
-        cfg = McConfig(systems=2, output_dir=str(tmp_path / "cap"), fw_max_iter=1, **TINY)
+        cfg = McConfig(systems=2, output_dir=str(tmp_path / "cap"), max_iter=1, **TINY)
         with caplog.at_level("WARNING", logger="optinput.experiment"):
             summary = run_monte_carlo(cfg)
         designs = summary["designs"]["D"]
