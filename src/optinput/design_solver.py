@@ -7,6 +7,12 @@ vertices E xi_j(0:n); all three criteria are convex functions of
 
     Q(r) = Toeplitz(r) + sigma2 * P^{-1}.
 
+All three, and the barrier that E is solved through, are spectral functions
+of Q(r).  So one private kernel, _spectral, computes every value, gradient
+and Hessian from one eigendecomposition Q = U diag(lam) U^T, taken through
+the Cholesky factor; the solver and the public eval_criterion and
+gradient_in_r all call it.
+
 One projected Newton loop solves all three.  Each iteration takes the Newton
 point of a smooth convex function of the free correlations r_1..r_{n-1},
 projects it onto the polytope in the Hessian metric (one nonnegative
@@ -14,12 +20,12 @@ least-squares solve over the vertices, then an exact re-solve on its support),
 and backtracks on the segment to that projection.  Both ends of the segment
 are feasible, so every iterate is, and the Frank-Wolfe gap at an iterate is a
 true bound.  D and A run the loop on their own value from r_dagger =
-(E, 0, .., 0), with closed-form gradient and Hessian from one Q(r)^{-1}, and
-are certified by that gap.  E runs it along the log-det barrier path of its
-semidefinite form, max t s.t. Q(r) - t I >= 0, and is certified by the dual
-point Z = G / tr G, G = (Q - t I)^{-1}, which bounds the optimal value from
-below.  A chunked brute-force grid scan over the weight simplex serves as an
-independent oracle for small K.
+(E, 0, .., 0) and are certified by that gap.  E runs it along the log-det
+barrier path of its semidefinite form, max t s.t. Q(r) - t I >= 0, and is
+certified by the dual point Z = G / tr G, G = (Q - t I)^{-1}, which bounds
+the optimal value from below.  A chunked brute-force grid scan over the
+weight simplex, with its own batched slogdet / inv / eigvalsh formulas,
+serves as an independent oracle for small K.
 """
 
 from __future__ import annotations
@@ -100,7 +106,8 @@ class Certificate:
     """How a design was found: the gap at the returned r (value minus a lower
     bound on the optimum), the Newton steps or grid points of the method that
     returned it ("newton" for D/A, "barrier" for E, or "grid"), and whether
-    the gap met its target."""
+    the gap met its target.  The gap is clamped at 0: at a vertex optimum the
+    difference of nearly equal numbers can round below it (-5.6e-17)."""
 
     gap: float
     iterations: int
@@ -162,51 +169,6 @@ def q_of_r(r, p_inv, sigma2: float) -> linalg.SymMatrix:
     return linalg.SymMatrix(scipy.linalg.toeplitz(r) + sigma2 * p.a)
 
 
-def _band_sums(M: np.ndarray) -> np.ndarray:
-    """v[i-1] = 2 * (sum of the i-th superdiagonal of M), i = 1..n-1."""
-    n = M.shape[0]
-    return np.array([2.0 * np.trace(M, offset=i) for i in range(1, n)])
-
-
-def eval_criterion(problem: DesignProblem, r, p_inv=None) -> float:
-    """Criterion value at r: D = n log sigma2 - log det Q, A = sigma2 tr Q^{-1},
-    E = sigma2 / lambda_min(Q)."""
-    if p_inv is None:
-        p_inv = problem.p_inverse()
-    Q = q_of_r(r, p_inv, problem.sigma2)
-    if problem.criterion == "D":
-        return float(problem.n * np.log(problem.sigma2) - linalg.logdet(Q))
-    if problem.criterion == "A":
-        return float(problem.sigma2 * linalg.trace_of_inverse(Q))
-    lam, _ = linalg.min_eigpair(Q)
-    return float(problem.sigma2 / lam)
-
-
-def gradient_in_r(problem: DesignProblem, r, p_inv=None) -> np.ndarray:
-    """Gradient (for E: a subgradient) in the free coordinates r_1..r_{n-1}.
-
-    D: -tr(Q^{-1} Q_i);  A: -sigma2 tr(Q^{-2} Q_i);  E: -(sigma2/lam^2) v^T Q_i v,
-    where Q_i is the 0/1 Toeplitz band matrix at offset i and (lam, v) is a
-    minimal eigenpair of Q(r).
-    """
-    if p_inv is None:
-        p_inv = problem.p_inverse()
-    Q = q_of_r(r, p_inv, problem.sigma2)
-    if problem.criterion == "D":
-        return -_band_sums(linalg.inverse(Q))
-    if problem.criterion == "A":
-        qi = linalg.inverse(Q)
-        return -problem.sigma2 * _band_sums(qi @ qi)
-    lam, v = linalg.min_eigpair(Q)
-    n = problem.n
-    quad = np.array([2.0 * float(v[: n - i] @ v[i:]) for i in range(1, n)])
-    return -(problem.sigma2 / lam**2) * quad
-
-
-_GAP_FLOOR = 1e-8  # relative gap accepted when the loop stalls at roundoff
-_BARRIER_LIMIT = 1e11  # s * lambda_min beyond which the barrier terms lose their digits
-
-
 def _toeplitz_bands(n: int) -> np.ndarray:
     """(n, n, n) stack of the 0/1 Toeplitz band matrices; slice 0 is the identity."""
     bands = np.zeros((n, n, n))
@@ -217,71 +179,109 @@ def _toeplitz_bands(n: int) -> np.ndarray:
     return bands
 
 
+def _spectral(problem, Q: np.ndarray, bands: np.ndarray | None = None, s: float | None = None):
+    """Criterion value, gradient and Hessian from one eigendecomposition Q(r) = U diag(lam) U^T.
+
+    The decomposition is the SVD L^T = X diag(sqrt(lam)) U^T of the Cholesky
+    factor Q = L L^T.  eigh resolves eigenvalues only to eps ||Q||: on the
+    graded Q of a TC prior that puts 1e-13 relative error on the A value and
+    1e-5 on its gradient, and the Newton loop stalls short of its target.
+    Through the factor the errors there are 6e-16 and 3e-7.
+
+    D = n log sigma2 - sum log lam_a, A = sigma2 sum 1/lam_a, E = sigma2 / lam_0;
+    with s, the E barrier E_s = min_t [-s t - sum log(lam_a - t)], whose t
+    solves sum 1/(lam_a - t) = s: Newton on x = lam_0 - t from x = 1/s, where
+    the sum is >= s, rises monotonically to the root.
+
+    Returns (value,), or with the band matrices B_1..B_{n-1} the tuple
+    (value, g, H, lam, f'(lam)) of the gradient and Hessian in r[1:].  With
+    C_i = U^T B_i U, g_i = sum_a f'(lam_a) C_i[a, a] and
+    H_ik = sum_ab Gam_ab C_i[a, b] C_k[a, b], Gam the divided differences of f'
+    (Lewis, Math. Oper. Res. 21(3), 1996): D has f' = -w, Gam = w w^T with
+    w = 1/lam; A has f' = -sigma2 w^2, Gam_ab = sigma2 (w_a + w_b) w_a w_b;
+    E_s is D's form with w = 1/(lam - t), less the Schur term of the
+    minimization over t; E has the subgradient of sigma2 / lam_0 and no H.
+    Returns None where Q is not positive definite.
+    """
+    try:
+        L = np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return None
+    _, sv, Vt = np.linalg.svd(L.T)
+    lam, U = sv[::-1] ** 2, Vt[::-1].T
+    sigma2 = problem.sigma2
+    if s is not None:
+        delta = lam - lam[0]
+        x = 1.0 / s
+        while True:
+            w = 1.0 / (delta + x)
+            x_next = x + (float(np.sum(w)) - s) / float(w @ w)
+            if not x_next > x:
+                break
+            x = x_next
+        value = -s * (lam[0] - x) - float(np.sum(np.log(delta + x)))
+        fp, gam = -w, np.outer(w, w)
+    elif problem.criterion == "D":
+        w = 1.0 / lam
+        value = problem.n * np.log(sigma2) - float(np.sum(np.log(lam)))
+        fp, gam = -w, np.outer(w, w)
+    elif problem.criterion == "A":
+        w = 1.0 / lam
+        value = sigma2 * float(np.sum(w))
+        fp, gam = -sigma2 * w * w, sigma2 * (w[:, None] + w) * np.outer(w, w)
+    else:
+        value = sigma2 / lam[0]
+        fp, gam = np.zeros_like(lam), None
+        fp[0] = -value / lam[0]
+    if bands is None:
+        return (value,)
+    C = U.T @ bands @ U
+    diag = np.diagonal(C, axis1=1, axis2=2)
+    g = diag @ fp
+    if gam is None:
+        return value, g, None, lam, fp
+    C = C.reshape(-1, lam.size**2)
+    H = (C * gam.ravel()) @ C.T
+    if s is not None:
+        f_rt = diag @ (w * w)
+        H -= np.outer(f_rt, f_rt) / float(w @ w)
+    return value, g, H, lam, fp
+
+
+def _terms_at(problem: DesignProblem, r, p_inv, derivs: bool):
+    """_spectral at r for the public functions; NotPositiveDefinite where Q(r) is not PD."""
+    if p_inv is None:
+        p_inv = problem.p_inverse()
+    Q = q_of_r(r, p_inv, problem.sigma2).a
+    out = _spectral(problem, Q, _toeplitz_bands(problem.n)[1:] if derivs else None)
+    if out is None:
+        raise linalg.NotPositiveDefinite("Q(r) is not positive definite")
+    return out
+
+
+def eval_criterion(problem: DesignProblem, r, p_inv=None) -> float:
+    """Criterion value at r: D = n log sigma2 - log det Q, A = sigma2 tr Q^{-1},
+    E = sigma2 / lambda_min(Q)."""
+    return float(_terms_at(problem, r, p_inv, False)[0])
+
+
+def gradient_in_r(problem: DesignProblem, r, p_inv=None) -> np.ndarray:
+    """Gradient (for E: a subgradient) in the free coordinates r_1..r_{n-1}.
+
+    D: -tr(Q^{-1} Q_i);  A: -sigma2 tr(Q^{-2} Q_i);  E: -(sigma2/lam^2) v^T Q_i v,
+    where Q_i is the 0/1 Toeplitz band matrix at offset i and (lam, v) is a
+    minimal eigenpair of Q(r).
+    """
+    return _terms_at(problem, r, p_inv, True)[1]
+
+
+_GAP_FLOOR = 1e-8  # relative gap accepted when the loop stalls at roundoff
+_BARRIER_LIMIT = 1e11  # s * lambda_min beyond which the barrier terms lose their digits
+
+
 def _duality_gap(V: np.ndarray, r: np.ndarray, g: np.ndarray) -> float:
     """Frank-Wolfe gap g.r[1:] - min_j g.v_j[1:]; bounds value - optimum when r is feasible."""
     return float(g @ r[1:] - np.min(V[:, 1:] @ g))
-
-
-def _smooth_terms(problem, r: np.ndarray, p_inv: np.ndarray, bands: np.ndarray | None):
-    """D or A value at r, with gradient and Hessian in r[1:] unless bands is None.
-
-    With G = Q(r)^{-1} and B_i the band matrices:
-    D: g_i = -tr(G B_i), H_ik = tr(G B_i G B_k);
-    A: g_i = -sigma2 tr(G^2 B_i), H_ik = sigma2 [tr(G^2 B_i G B_k) + tr(G B_i G^2 B_k)].
-    Returns None where Q(r) is not positive definite.
-    """
-    n, sigma2 = problem.n, problem.sigma2
-    try:
-        L = np.linalg.cholesky(scipy.linalg.toeplitz(r) + sigma2 * p_inv)
-    except np.linalg.LinAlgError:
-        return None
-    L_inv = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
-    if problem.criterion == "D":
-        value = n * np.log(sigma2) - 2.0 * float(np.sum(np.log(np.diag(L))))
-    else:
-        value = sigma2 * float(np.sum(L_inv * L_inv))
-    if bands is None:
-        return value, None, None
-    G = L_inv.T @ L_inv
-    GB = G @ bands
-    if problem.criterion == "D":
-        return value, -np.einsum("iaa->i", GB), np.einsum("iab,kba->ik", GB, GB)
-    G2B = G @ GB
-    C = np.einsum("iab,kba->ik", G2B, GB)
-    return value, -sigma2 * np.einsum("iaa->i", G2B), sigma2 * (C + C.T)
-
-
-def _barrier_terms(problem, r: np.ndarray, p_inv: np.ndarray, s: float, bands: np.ndarray | None):
-    """E_s(r) = min_t [-s t - log det(Q(r) - t I)], with gradient and Hessian in r[1:] unless bands is None.
-
-    The minimizing t solves sum_i 1/(lam_i - t) = s; Newton on x = lam_0 - t from
-    x = 1/s, where the sum is >= s, rises monotonically to the root.  With
-    G = (Q - t I)^{-1} and F the bracket, g_i = -tr(G B_i) and the Hessian is
-    F_rr - F_rt F_rt^T / F_tt, F_rr = tr(G B_i G B_k), F_rt = -tr(G^2 B_i),
-    F_tt = tr G^2.  With derivatives, also returns lambda_min(Q) and G.
-    """
-    Q = scipy.linalg.toeplitz(r) + problem.sigma2 * p_inv
-    if bands is None:
-        lam = np.linalg.eigvalsh(Q)
-    else:
-        lam, U = np.linalg.eigh(Q)
-    delta = lam - lam[0]
-    x = 1.0 / s
-    while True:
-        inv = 1.0 / (delta + x)
-        x_next = x + (float(np.sum(inv)) - s) / float(inv @ inv)
-        if not x_next > x:
-            break
-        x = x_next
-    d = delta + x
-    value = -s * (lam[0] - x) - float(np.sum(np.log(d)))
-    if bands is None:
-        return value, None, None
-    G = (U / d) @ U.T
-    GB = G @ bands
-    f_rt = -np.einsum("iaa->i", G @ GB)
-    H = np.einsum("iab,kba->ik", GB, GB) - np.outer(f_rt, f_rt) / float(np.sum(1.0 / d**2))
-    return value, -np.einsum("iaa->i", GB), H, lam[0], G
 
 
 def _project(V1: np.ndarray, L: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -353,37 +353,43 @@ def _vertex_weights(V: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _certificate(gap: float, value: float, iterations: int, stalled: bool, method: str, opts) -> Certificate:
     """The one convergence rule: gap <= gap_rel_tol |value|, or <= 1e-8 |value| after a stall."""
+    gap = max(gap, 0.0)
     met = gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny
     converged = met or (stalled and gap <= _GAP_FLOOR * abs(value))
     return Certificate(gap=float(gap), iterations=iterations, converged=bool(converged), method=method)
 
 
-def _newton_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
-    """D/A: projected Newton on the criterion from r_dagger, certified by the Frank-Wolfe gap."""
+def _in_r(problem, p_inv: np.ndarray, s: float | None = None):
+    """_spectral as the terms(r, derivs) of _descend."""
     bands = _toeplitz_bands(problem.n)[1:]
 
     def terms(r, derivs):
-        return _smooth_terms(problem, r, p_inv, bands if derivs else None)
+        return _spectral(problem, scipy.linalg.toeplitz(r) + problem.sigma2 * p_inv, bands if derivs else None, s)
 
+    return terms
+
+
+def _newton_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
+    """D/A: projected Newton on the criterion from r_dagger, certified by the Frank-Wolfe gap."""
     it, stalled = 0, True
-    for it, (r, gap, (value, _, _)) in enumerate(_descend(terms, V, problem.r_dagger())):
+    for it, (r, gap, (value, *_)) in enumerate(_descend(_in_r(problem, p_inv), V, problem.r_dagger())):
         if gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny or it == opts.max_iter:
             stalled = False
             break
-    w = _vertex_weights(V, r)
-    r = V.T @ w
-    value, g, _ = terms(r, True)
-    return w, r, value, _certificate(_duality_gap(V, r, g), value, it, stalled, "newton", opts)
+    return r, value, _certificate(gap, value, it, stalled, "newton", opts)
 
 
-def _e_bound(problem, V: np.ndarray, p_inv: np.ndarray, Z: np.ndarray) -> float:
-    """sigma2 / max_r <Z, Q(r)> over the polytope, for Z >= 0 with tr Z = 1.
+def _e_bound(sigma2: float, lam: np.ndarray, fp: np.ndarray, gap: float) -> float:
+    """sigma2 / max_r' <Z, Q(r')> over the polytope for the dual point Z = U diag(w) U^T / sum(w), w = -f'(lam).
 
-    lambda_min(Q(r)) <= <Z, Q(r)> and <Z, Toeplitz(r)> is linear in r, so its
-    maximum over the vertices bounds the optimal E value from below.
+    lambda_min(Q(r')) <= <Z, Q(r')> = <Z, Q(r)> + <Z, Toeplitz(r' - r)>, and
+    <Z, Q(r)> = w.lam / sum(w).  For E and E_s the gradient is
+    g_i = -<U diag(w) U^T, B_i>, so the maximum of the last term over the
+    vertices is the Frank-Wolfe gap of g over sum(w): the result bounds the
+    optimal E value from below.
     """
-    z = np.append(np.trace(Z), _band_sums(Z))
-    return problem.sigma2 / (problem.sigma2 * float(np.sum(Z * p_inv)) + float(np.max(V @ z)))
+    w = -fp
+    return sigma2 * float(np.sum(w)) / (float(w @ lam) + gap)
 
 
 def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
@@ -391,21 +397,21 @@ def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptio
 
     r_dagger is tested first with Z = v v^T from its bottom eigenvector.  Then
     E_s is minimized from s = n / lambda_min(Q(r_dagger)) on, s growing tenfold
-    once the barrier's own gap is below 1.  Each iterate's G gives the dual
-    point Z = G / tr G; the best value and the best bound make the certificate.
+    once the barrier's own gap is below 1.  Each iterate gives the dual point
+    Z = G / tr G, G = (Q - t I)^{-1}; the best value and the best bound make
+    the certificate.
     """
-    n, sigma2, tol = problem.n, problem.sigma2, opts.gap_rel_tol
-    bands = _toeplitz_bands(n)[1:]
+    sigma2, tol = problem.sigma2, opts.gap_rel_tol
     r = problem.r_dagger()
-    lam, U = np.linalg.eigh(scipy.linalg.toeplitz(r) + sigma2 * p_inv)
-    best_r, best, bound = r, sigma2 / lam[0], _e_bound(problem, V, p_inv, np.outer(U[:, 0], U[:, 0]))
-    s, lam0, it, stalled = n / lam[0], lam[0], 0, False
+    best, g, _, lam, fp = _in_r(problem, p_inv)(r, True)
+    best_r, bound = r, _e_bound(sigma2, lam, fp, _duality_gap(V, r, g))
+    s, lam0, it, stalled = problem.n / lam[0], lam[0], 0, False
     while best - bound > tol * best and it < opts.max_iter and not stalled:
-        steps = _descend(lambda x, derivs: _barrier_terms(problem, x, p_inv, s, bands if derivs else None), V, r)
-        for r, gap, (_, _, _, lam0, G) in steps:
+        for r, gap, (_, _, _, lam, fp) in _descend(_in_r(problem, p_inv, s), V, r):
+            lam0 = lam[0]
             if sigma2 / lam0 < best:
                 best_r, best = r, sigma2 / lam0
-            bound = max(bound, _e_bound(problem, V, p_inv, G / np.trace(G)))
+            bound = max(bound, _e_bound(sigma2, lam, fp, gap))
             if best - bound <= tol * best or it == opts.max_iter or gap <= 1.0:
                 break
             it += 1
@@ -413,10 +419,7 @@ def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptio
             stalled = True
         stalled = stalled or s * lam0 > _BARRIER_LIMIT
         s *= 10.0
-    w = _vertex_weights(V, best_r)
-    r = V.T @ w
-    value = eval_criterion(problem, r, p_inv)
-    return w, r, value, _certificate(value - bound, value, it, stalled, "barrier", opts)
+    return best_r, best, _certificate(best - bound, best, it, stalled, "barrier", opts)
 
 
 def solve(
@@ -435,7 +438,8 @@ def solve(
     p_inv = problem.p_inverse()
     V = vertices(problem.N, problem.n, problem.energy)
     design = _barrier_design if problem.criterion == "E" else _newton_design
-    w, r, value, cert = design(problem, V, p_inv, opts)
+    r, value, cert = design(problem, V, p_inv, opts)
+    w = _vertex_weights(V, r)
     a = np.zeros(problem.N)
     a[: w.size] = w
     a = np.clip(a, 0.0, None)
@@ -452,9 +456,7 @@ def check_rdagger_optimality(problem: DesignProblem, tol: float = 1e-10) -> dict
     nonnegative (up to tol).
     """
     g = gradient_in_r(problem, problem.r_dagger())
-    i = np.arange(1, problem.n)
-    js = np.arange(problem.N // 2 + 1)
-    values = np.array([float(g @ np.cos(2.0 * np.pi * j * i / problem.N)) for j in js])
+    values = vertices(problem.N, problem.n, 1.0)[:, 1:] @ g
     return {"is_stationary": bool(np.all(values >= -tol)), "directional_derivatives": values}
 
 
@@ -471,21 +473,16 @@ def _batched_criterion(criterion: str, rs: np.ndarray, p_inv: np.ndarray, sigma2
 
 
 def _compositions(total: int, parts: int):
-    """Yield chunks of all nonnegative integer compositions of total into parts."""
-    chunk = []
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        chunk.append(comp)
-        if len(chunk) >= 65536:
-            yield np.asarray(chunk, dtype=float)
-            chunk = []
-    if chunk:
-        yield np.asarray(chunk, dtype=float)
+    """Yield chunks of all nonnegative integer compositions of total into parts.
+
+    Stars and bars: each (parts - 1)-subset of the total + parts - 1 slots
+    places the bars, and the parts are the gaps between consecutive bars.
+    """
+    bars = itertools.combinations(range(total + parts - 1), parts - 1)
+    while block := list(itertools.islice(bars, 65536)):
+        cuts = np.array(block, dtype=np.int64).reshape(len(block), parts - 1)
+        edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1))
+        yield np.diff(edges, axis=1) - 1.0
 
 
 def brute_force_design(problem: DesignProblem, grid_resolution: int = 200) -> DesignSolution:

@@ -1,9 +1,8 @@
 """Dense symmetric-matrix services shared by the design and estimation layers.
 
-Criterion values, gradients and least-squares solves funnel through the
-handful of operations here, thin layers over LAPACK (Cholesky factors and the
-symmetric eigensolver), so the failure mode is centralized: factorizations
-raise :class:`NotPositiveDefinite`.
+Kernel inverses and least-squares solves funnel through the handful of
+operations here, thin layers over LAPACK's Cholesky factor, so the failure
+mode is centralized: factorizations raise :class:`NotPositiveDefinite`.
 """
 
 from __future__ import annotations
@@ -64,30 +63,3 @@ def inverse(m) -> np.ndarray:
     """Inverse of a positive definite matrix (n triangular solves)."""
     a = as_sym(m).a
     return solve(a, np.eye(a.shape[0]))
-
-
-def logdet(m) -> float:
-    """log det of a positive definite matrix, via the Cholesky diagonal."""
-    L = cholesky(m)
-    return float(2.0 * np.sum(np.log(np.diag(L))))
-
-
-def trace_of_inverse(m) -> float:
-    """Trace of the inverse of a positive definite matrix."""
-    return float(np.trace(inverse(m)))
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    # deterministic orientation: largest-magnitude component made positive
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
-
-
-def min_eigpair(m):
-    """Smallest eigenvalue of a symmetric matrix with a unit eigenvector.
-
-    LAPACK's symmetric eigensolver restricted to the bottom of the spectrum;
-    the vector is oriented by its largest-magnitude component.
-    """
-    lam, v = scipy.linalg.eigh(as_sym(m).a, subset_by_index=[0, 0])
-    return float(lam[0]), _canonical_sign(v[:, 0])

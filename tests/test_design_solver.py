@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from optinput.design_solver import (
     DimensionMismatch,
     SolverOptions,
     TooManyVertices,
+    _compositions,
+    _in_r,
     brute_force_design,
     check_rdagger_optimality,
     eval_criterion,
@@ -152,9 +157,10 @@ class TestGradient:
         p = example_counterexample_problem("D")
         assert np.max(np.abs(gradient_in_r(p, p.r_dagger()))) <= 1e-12
 
-    @pytest.mark.parametrize("criterion", ["D", "A"])
+    @pytest.mark.parametrize("criterion", CRITERIA)
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, criterion, seed):
+        # at these points lambda_min(Q) is simple, so E is differentiable too
         p = dc_problem(criterion, n=4, N=12)
         r = interior_point(p, seed)
         g = gradient_in_r(p, r)
@@ -173,6 +179,76 @@ class TestGradient:
         g = gradient_in_r(p, r)
         step = np.concatenate([[0.0], -1e-7 * g])
         assert eval_criterion(p, r + step) <= eval_criterion(p, r) + 1e-12
+
+
+def central_differences(f, x, h):
+    """Central differences of f in x[1:], stacked along the last axis."""
+    cols = []
+    for i in range(1, x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+class TestSpectralKernel:
+    """The one criterion kernel: gradient and Hessian in r[1:] for D, A and the E barrier E_s."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    @pytest.mark.parametrize("criterion", ["D", "A", "E_s"])
+    def test_derivatives_match_central_differences(self, criterion, n):
+        p = dc_problem(criterion[0], rho=0.4, lam=0.8, n=n, N=max(2 * n, 4), sigma2=0.5)
+        p_inv = p.p_inverse()
+        r = interior_point(p, n)
+        s = None
+        if criterion == "E_s":
+            s = 2.0 * n / float(np.linalg.eigvalsh(q_of_r(r, p_inv, p.sigma2).a)[0])
+        terms = _in_r(p, p_inv, s)
+        _, g, H = terms(r, True)[:3]
+        assert g.shape == (n - 1,) and H.shape == (n - 1, n - 1)
+        if n == 1:
+            return
+        h = 1e-5 * p.energy
+        fd_g = central_differences(lambda x: terms(x, False)[0], r, h)
+        fd_H = central_differences(lambda x: terms(x, True)[1], r, h)
+        assert np.max(np.abs(fd_g - g)) <= 1e-6 * np.max(np.abs(g))
+        assert np.max(np.abs(fd_H - H)) <= 1e-6 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_single_tap_has_empty_derivatives(self, criterion):
+        p = ridge_problem(criterion, n=1, N=3, energy=2.0)
+        out = _in_r(p, p.p_inverse(), 1.0 if criterion == "E" else None)(p.r_dagger(), True)
+        assert out[1].shape == (0,) and out[2].shape == (0, 0)
+        assert gradient_in_r(p, p.r_dagger()).shape == (0,)
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_indefinite_q_raises(self, criterion):
+        # Toeplitz(1, 2, 0) has the eigenvalue 1 - 2 sqrt(2) < 0; P^-1 = I / 100 cannot lift it
+        p = ridge_problem(criterion, c=100.0)
+        r = np.array([1.0, 2.0, 0.0])
+        with pytest.raises(linalg.NotPositiveDefinite):
+            eval_criterion(p, r)
+        with pytest.raises(linalg.NotPositiveDefinite):
+            gradient_in_r(p, r)
+
+    def test_e_on_a_degenerate_bottom_eigenspace(self):
+        # Q(r_dagger) = diag(E + sigma2, E + sigma2, E + 3 sigma2): any unit vector of
+        # the bottom pair is a minimal eigenvector, and each gives a subgradient
+        spec = KernelSpec("CustomInverse", 3, {"p_inv": np.diag([1.0, 1.0, 3.0])})
+        p = DesignProblem(spec, 0.5, 3, 8, 1.0, "E")
+        r = p.r_dagger()
+        value = eval_criterion(p, r)
+        assert value == pytest.approx(0.5 / 1.5, rel=1e-15)
+        g = gradient_in_r(p, r)
+        V = vertices(p.N, p.n, p.energy)
+        points = np.vstack([V, np.random.default_rng(3).dirichlet(np.ones(len(V)), 200) @ V])
+        for x in points:
+            assert eval_criterion(p, x) >= value + g @ (x - r)[1:] - 1e-14
+
+    def test_e_on_one_by_one(self):
+        p = ridge_problem("E", c=2.0, sigma2=0.5, n=1, N=3, energy=4.0)
+        assert eval_criterion(p, [4.0]) == pytest.approx(0.5 / (4.0 + 0.5 / 2.0), rel=1e-15)
+        assert gradient_in_r(p, [4.0]).shape == (0,)
 
 
 class TestConvexity:
@@ -374,6 +450,16 @@ class TestNewtonPath:
         assert s.certificate.method == "newton"
         assert s.value <= eval_criterion(p, p.r_dagger())
 
+    def test_graded_tc_a_design_converges(self):
+        # acceptance system 2 of master seed 0: Q spans 9 to 1.4e4 and the
+        # gradient at the optimum is 1e-11; with eigenvalues good only to
+        # eps ||Q|| the loop stalled at a relative gap of 2.7e-8
+        spec = KernelSpec("TC", 20, {"c": 0.8163907855028478, "lam": 0.5705237368137384})
+        p = DesignProblem(spec, 0.04290093378625916, 20, 50, 10.0, "A")
+        s = solve(p)
+        assert s.certificate.iterations <= 10
+        assert_certified(p, s)
+
     @pytest.mark.parametrize("criterion", CRITERIA)
     def test_face_optimum_at_the_acceptance_size(self, criterion):
         # the optimal weights use 13-19 of the 26 vertices, so the optimum lies on a face
@@ -415,6 +501,12 @@ class TestCertificateIsABound:
         s = solve(p)
         assert s.certificate.converged
         assert lower_bound_violations(p, s) == []
+
+    @pytest.mark.parametrize("criterion, rho, N", [("D", -0.9, 5), ("E", 0.0, 7)])
+    def test_gap_is_never_negative(self, criterion, rho, N):
+        # at these optima the gap is a difference of nearly equal numbers, which has rounded to -5.6e-17
+        p = dc_problem(criterion, rho=rho, lam=0.8, n=4, N=N, sigma2=0.5)
+        assert solve(p).certificate.gap >= 0.0
 
 
 class TestZeroCorrelationTest:
@@ -463,3 +555,18 @@ class TestBruteForce:
         p = DesignProblem(KernelSpec("Ridge", 2, {"c": 1.0}), 1.0, 2, 16, 1.0, "D")
         with pytest.raises(TooManyVertices):
             brute_force_design(p, 10)
+
+    @pytest.mark.parametrize("total, parts", [(200, 4), (12, 6), (5, 1), (0, 3)])
+    def test_compositions_enumerate_the_grid_once(self, total, parts):
+        rows = np.vstack(list(_compositions(total, parts))).astype(np.int64)
+        assert rows.shape == (comb(total + parts - 1, parts - 1), parts)
+        assert np.all(rows >= 0)
+        assert np.all(rows.sum(axis=1) == total)
+        codes = rows @ (total + 1) ** np.arange(parts)
+        assert np.unique(codes).size == len(rows)
+
+    def test_compositions_keep_the_lexicographic_order(self):
+        # the grid scan keeps the first of tied points, so the order is part of the result
+        rows = np.vstack(list(_compositions(7, 4)))
+        want = [c for c in itertools.product(range(8), repeat=4) if sum(c) == 7]
+        assert np.array_equal(rows, want)
