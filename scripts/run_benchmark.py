@@ -51,11 +51,14 @@ def main(argv=None) -> int:
             f"{stats['q1']:8.2f} {stats['q3']:8.2f} {stats['count']:6d}"
         )
     print()
-    header = f"{'design':>8} {'converged':>10} {'unconverged':>12} {'worst gap':>10}"
+    header = f"{'design':>8} {'converged':>10} {'unconverged':>12} {'mean steps':>11} {'worst gap':>10}"
     print(header)
     print("-" * len(header))
     for crit, designs in summary["designs"].items():
-        print(f"{crit:>8} {designs['converged']:10d} {designs['unconverged']:12d} {designs['worst_gap']:10.3g}")
+        print(
+            f"{crit:>8} {designs['converged']:10d} {designs['unconverged']:12d} "
+            f"{designs['mean_iterations']:11.1f} {designs['worst_gap']:10.3g}"
+        )
     if summary["failed_systems"]:
         print(f"failed systems: {len(summary['failed_systems'])}")
     print(f"wrote {config.output_dir}/fits.csv and summary.json")

@@ -134,7 +134,7 @@ def cmd_mc(args) -> int:
     for crit, designs in summary["designs"].items():
         print(
             f"{crit} designs: {designs['converged']} converged, {designs['unconverged']} unconverged, "
-            f"worst gap {designs['worst_gap']:.3g}"
+            f"mean {designs['mean_iterations']:.1f} steps, worst gap {designs['worst_gap']:.3g}"
         )
     print(f"wrote {config.output_dir}/fits.csv and summary.json")
     return EXIT_OK

@@ -20,12 +20,12 @@ least-squares solve over the vertices, then an exact re-solve on its support),
 and backtracks on the segment to that projection.  Both ends of the segment
 are feasible, so every iterate is, and the Frank-Wolfe gap at an iterate is a
 true bound.  D and A run the loop on their own value from r_dagger =
-(E, 0, .., 0) and are certified by that gap.  E runs it along the log-det
-barrier path of its semidefinite form, max t s.t. Q(r) - t I >= 0, and is
-certified by the dual point Z = G / tr G, G = (Q - t I)^{-1}, which bounds
-the optimal value from below.  A chunked brute-force grid scan over the
-weight simplex, with its own batched slogdet / inv / eigvalsh formulas,
-serves as an independent oracle for small K.
+(E, 0, .., 0) and are certified by that gap.  E runs it once along the
+log-det barrier path of max t s.t. Q(r) - t I >= 0, raising the barrier
+parameter after every step from the certified gap, and is certified by the
+dual point Z = G / tr G, G = (Q - t I)^{-1}.  A chunked brute-force grid
+scan over the weight simplex, with its own batched slogdet / inv / eigvalsh
+formulas, serves as an independent oracle for small K.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ class SolverOptions:
 
     One convergence rule for D, A and E: a design is converged when its
     certified gap is <= gap_rel_tol * |value|, or <= 1e-8 * |value| when the
-    loop stalls at roundoff (no step lowers the value or shrinks the gap, or
-    the E barrier path reaches s * lambda_min > 1e11).  max_iter bounds the
-    Newton steps.
+    loop stalls at roundoff (no step lowers the value or shrinks the gap).
+    max_iter bounds the Newton steps.
     """
 
     gap_rel_tol: float = 1e-13
@@ -276,7 +275,7 @@ def gradient_in_r(problem: DesignProblem, r, p_inv=None) -> np.ndarray:
 
 
 _GAP_FLOOR = 1e-8  # relative gap accepted when the loop stalls at roundoff
-_BARRIER_LIMIT = 1e11  # s * lambda_min beyond which the barrier terms lose their digits
+_KAPPA = 1e3  # E: the barrier gap n / s is aimed at 1 / _KAPPA of the certified gap
 
 
 def _duality_gap(V: np.ndarray, r: np.ndarray, g: np.ndarray) -> float:
@@ -359,14 +358,17 @@ def _certificate(gap: float, value: float, iterations: int, stalled: bool, metho
     return Certificate(gap=float(gap), iterations=iterations, converged=bool(converged), method=method)
 
 
-def _in_r(problem, p_inv: np.ndarray, s: float | None = None):
-    """_spectral as the terms(r, derivs) of _descend."""
-    bands = _toeplitz_bands(problem.n)[1:]
+class _in_r:
+    """_spectral as the terms(r, derivs) of _descend; with s, of the E barrier E_s at self.s.
 
-    def terms(r, derivs):
-        return _spectral(problem, scipy.linalg.toeplitz(r) + problem.sigma2 * p_inv, bands if derivs else None, s)
+    An object, as the E loop raises s and a closure reading its own s is a cycle that outlives the solve."""
 
-    return terms
+    def __init__(self, problem, p_inv: np.ndarray, s: float | None = None):
+        self.problem, self.s = problem, s
+        self.bands, self.prior = _toeplitz_bands(problem.n)[1:], problem.sigma2 * p_inv
+
+    def __call__(self, r, derivs):
+        return _spectral(self.problem, scipy.linalg.toeplitz(r) + self.prior, self.bands if derivs else None, self.s)
 
 
 def _newton_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
@@ -396,29 +398,25 @@ def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptio
     """E: projected Newton along the log-det barrier path of max t s.t. Q(r) - t I >= 0.
 
     r_dagger is tested first with Z = v v^T from its bottom eigenvector.  Then
-    E_s is minimized from s = n / lambda_min(Q(r_dagger)) on, s growing tenfold
-    once the barrier's own gap is below 1.  Each iterate gives the dual point
-    Z = G / tr G, G = (Q - t I)^{-1}; the best value and the best bound make
-    the certificate.
+    one _descend loop minimizes E_s from s = n / lambda_min(Q(r_dagger)); after
+    every step s rises to _KAPPA n / (sigma2 / bound - lambda_min(Q(r))), aiming
+    the barrier gap n / s at 1 / _KAPPA of the certified gap (the next line
+    search compares with the value at the old s).  The best value and the best
+    bound of the dual points Z = G / tr G, G = (Q - t I)^{-1}, certify the result.
     """
     sigma2, tol = problem.sigma2, opts.gap_rel_tol
-    r = problem.r_dagger()
-    best, g, _, lam, fp = _in_r(problem, p_inv)(r, True)
+    r, terms = problem.r_dagger(), _in_r(problem, p_inv)
+    best, g, _, lam, fp = terms(r, True)
     best_r, bound = r, _e_bound(sigma2, lam, fp, _duality_gap(V, r, g))
-    s, lam0, it, stalled = problem.n / lam[0], lam[0], 0, False
-    while best - bound > tol * best and it < opts.max_iter and not stalled:
-        for r, gap, (_, _, _, lam, fp) in _descend(_in_r(problem, p_inv, s), V, r):
-            lam0 = lam[0]
-            if sigma2 / lam0 < best:
-                best_r, best = r, sigma2 / lam0
-            bound = max(bound, _e_bound(sigma2, lam, fp, gap))
-            if best - bound <= tol * best or it == opts.max_iter or gap <= 1.0:
-                break
-            it += 1
-        else:
-            stalled = True
-        stalled = stalled or s * lam0 > _BARRIER_LIMIT
-        s *= 10.0
+    terms.s, stalled = problem.n / lam[0], True
+    for it, (r, gap, (_, _, _, lam, fp)) in enumerate(_descend(terms, V, r)):
+        if sigma2 / lam[0] < best:
+            best_r, best = r, sigma2 / lam[0]
+        bound = max(bound, _e_bound(sigma2, lam, fp, gap))
+        if best - bound <= tol * best or it == opts.max_iter:
+            stalled = False
+            break
+        terms.s = max(terms.s, _KAPPA * problem.n / (sigma2 / bound - lam[0]))
     return best_r, best, _certificate(best - bound, best, it, stalled, "barrier", opts)
 
 

@@ -236,10 +236,10 @@ _SEARCH_KEYS = {"Ridge": ("c",), "DI": ("c", "lam"), "TC": ("c", "lam"), "DC": (
 
 
 def _clip_params(family: str, x: np.ndarray) -> dict:
-    # search coordinates: log10(c), lam, rho -- clipped into the open box
+    # search coordinates: log10(c), lam, rho -- clipped into the open box (TC at lam = 1 is c 11^T, singular)
     p = {"c": float(10.0 ** np.clip(x[0], -12, 12))}
     if family in ("DI", "TC", "DC"):
-        p["lam"] = float(np.clip(x[1], 1e-8, 1.0))
+        p["lam"] = float(np.clip(x[1], 1e-8, 1.0 - 1e-6 if family == "TC" else 1.0))
     if family == "DC":
         p["rho"] = float(np.clip(x[2], -0.999, 0.999))
     return p

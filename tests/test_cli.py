@@ -187,9 +187,11 @@ class TestMc:
         path.write_text(json.dumps(cfg))
         assert main(["mc", "--config", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         for crit in ("A", "E"):
             line = next(line for line in lines if line.startswith(f"{crit} designs:"))
-            assert line.startswith(f"{crit} designs: 1 converged, 0 unconverged, worst gap ")
+            steps = summary["designs"][crit]["mean_iterations"]
+            assert line.startswith(f"{crit} designs: 1 converged, 0 unconverged, mean {steps:.1f} steps, worst gap ")
             float(line.rsplit(" ", 1)[1])
 
     def test_zero_systems(self, tmp_path, capsys):

@@ -473,6 +473,23 @@ class TestNewtonPath:
             assert s.certificate.iterations <= 20
             assert_certified(p, s)
 
+    @pytest.mark.parametrize(
+        "n, N, sigma2, rel_gap",
+        [
+            (20, 50, 1e-6, 1e-8),  # tiny noise: Q is nearly Toeplitz(r); the gap may end at the stall floor
+            (50, 1024, 0.5, SolverOptions().gap_rel_tol),  # long period: 513 vertices
+        ],
+    )
+    def test_e_barrier_reaches_its_target(self, n, N, sigma2, rel_gap):
+        spec = KernelSpec("TC", n, {"c": 1.0, "lam": 0.9})
+        p = DesignProblem(spec, sigma2, n, N, 10.0, "E")
+        s = solve(p)
+        assert s.certificate.converged
+        assert s.certificate.gap <= rel_gap * s.value
+        bound = s.value - s.certificate.gap
+        V = vertices(N, n, 10.0)
+        assert all(bound <= eval_criterion(p, r) for r in [p.r_dagger(), *V])
+
 
 def lower_bound_violations(problem, s, grid_resolution=24):
     """Feasible points whose criterion value lies below the certified bound value - gap."""

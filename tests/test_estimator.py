@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pd_matrix
 from optinput import linalg
+from optinput.design_solver import CRITERIA, DesignProblem, solve
 from optinput.estimator import (
     DataRecord,
     InputSequence,
@@ -389,6 +390,18 @@ class TestFitHyperparameters:
     def test_unknown_family(self):
         with pytest.raises(InvalidHyperparameter):
             fit_hyperparameters(np.zeros(4), np.ones(4), 2, 1.0, family="Diagonal")
+
+    def test_flat_tc_fit_stays_designable(self):
+        # a constant impulse response drives the TC fit to the top of its lam box;
+        # TC at lam = 1 is c 11^T, which no design can invert
+        n, N, sigma2 = 20, 50, 0.01
+        rng = np.random.default_rng(0)
+        u = InputSequence.scaled_to_power(rng.standard_normal(N), 10.0).values
+        y = build_circulant_regressor(u, n) @ np.full(n, 0.3) + rng.normal(0.0, 0.1, N)
+        spec = fit_hyperparameters(y, u, n, sigma2, family="TC")
+        assert 0.99 < spec.params["lam"] < 1.0
+        for criterion in CRITERIA:
+            assert solve(DesignProblem(spec, sigma2, n, N, 10.0, criterion)).certificate.converged
 
 
 class TestEstimateNoiseVariance:

@@ -205,6 +205,7 @@ class TestRunMonteCarlo:
         designs = summary["designs"]["D"]
         assert designs["unconverged"] == 2 and designs["converged"] == 0
         assert designs["worst_gap"] > 0.0
+        assert designs["mean_iterations"] == 1.0  # each design stopped at its one-step budget
         assert sum("unconverged" in rec.getMessage() for rec in caplog.records) == 2
         lines = (tmp_path / "cap" / "fits.csv").read_text().strip().splitlines()
         assert lines[0] == "system_id,policy,fit,snr,seed"
