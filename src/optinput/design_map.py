@@ -7,7 +7,8 @@ cosine/sine vectors, h the elementwise square, and S the n x N matrix of
 sampled cosines S[j, l] = cos(2 pi j l / N).  Under the energy constraint
 u^T u = E the image of f is therefore the convex hull of the scaled distinct
 columns of S, which is what the design solver optimizes over; this module
-also inverts the map, recovering an input from simplex weights.
+also inverts the map, recovering an input from simplex weights, such as the
+weights that produced the solver's optimal r.
 """
 
 from __future__ import annotations
@@ -176,12 +177,9 @@ def recover_input(a, energy: float, N: int, sign_pattern=None, seed: int | None 
     if N % 2 == 0:
         spec[-1] *= np.sqrt(2.0)
     u = np.fft.irfft(spec, N)
-    # defensive roundtrip check; the identity is exact up to roundoff.  Columns
-    # j and N - j of S coincide, and correlations are even in the lag, so the
-    # K vertices at lags 0..K-1 cover every column and every lag.
-    folded = a[:K].copy()
-    folded[1 : (N + 1) // 2] += a[: N // 2 : -1]
-    r = vertices(N, K, energy).T @ folded
+    # defensive roundtrip check, exact up to roundoff: lags 0..K-1 cover every
+    # lag (correlations are even in it), and there E S a = E Re(rfft(a))
+    r = energy * np.fft.rfft(a).real
     back = circular_correlation(u, K)
     if np.max(np.abs(back - r)) > 1e-8 * energy or abs(u @ u - energy) > 1e-10 * energy:
         raise ArithmeticError("input recovery failed its roundtrip check")

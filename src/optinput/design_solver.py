@@ -19,13 +19,14 @@ projects it onto the polytope in the Hessian metric (one nonnegative
 least-squares solve over the vertices, then an exact re-solve on its support),
 and backtracks on the segment to that projection.  Both ends of the segment
 are feasible, so every iterate is, and the Frank-Wolfe gap at an iterate is a
-true bound.  D and A run the loop on their own value from r_dagger =
-(E, 0, .., 0) and are certified by that gap.  E runs it once along the
-log-det barrier path of max t s.t. Q(r) - t I >= 0, raising the barrier
-parameter after every step from the certified gap, and is certified by the
-dual point Z = G / tr G, G = (Q - t I)^{-1}.  A chunked brute-force grid
-scan over the weight simplex, with its own batched slogdet / inv / eigvalsh
-formulas, serves as an independent oracle for small K.
+true bound; the iterate's vertex weights move with it, and solve returns
+them.  D and A run the loop on their own value from r_dagger = (E, 0, .., 0)
+and are certified by that gap.  E runs it once along the log-det barrier path
+of max t s.t. Q(r) - t I >= 0, raising the barrier parameter after every step
+from the certified gap, and is certified by the dual point Z = G / tr G,
+G = (Q - t I)^{-1}.  A chunked brute-force grid scan over the weight simplex,
+with its own batched slogdet / inv / eigvalsh formulas, serves as an
+independent oracle for small K.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DesignSolution:
-    """Optimal correlations r, simplex weights a, a realizing input, and value."""
+    """Optimal correlations r, the simplex weights a that produced r (E S a = r), a realizing input, and value."""
 
     r: np.ndarray
     a: np.ndarray
@@ -284,7 +285,7 @@ def _duality_gap(V: np.ndarray, r: np.ndarray, g: np.ndarray) -> float:
 
 
 def _project(V1: np.ndarray, L: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Point of conv(rows of V1) nearest to z in the metric H = L L^T.
+    """Simplex weights w of the point w @ V1 of conv(rows of V1) nearest to z in the metric H = L L^T.
 
     One NNLS of [L^T V1^T; M 1^T] w ~ [L^T z; M] finds the active vertices; its
     penalty row leaves sum(w) off 1, so w is re-solved on that support by
@@ -298,19 +299,30 @@ def _project(V1: np.ndarray, L: np.ndarray, z: np.ndarray) -> np.ndarray:
     y = np.linalg.lstsq(A[:, S[:-1]] - A[:, S[-1:]], b - A[:, S[-1]], rcond=None)[0]
     if np.all(y >= 0.0) and y.sum() <= 1.0:
         w[S] = np.append(y, 1.0 - y.sum())
-    return (w / w.sum()) @ V1
+    return w / w.sum()
 
 
-def _descend(terms, V: np.ndarray, r: np.ndarray):
+def _factor(H: np.ndarray):
+    """Cholesky factor of H or, where that fails, of H + tau max|H| I with tau rising tenfold from 1e-14 to 1."""
+    for tau in (0.0, *(10.0**k for k in range(-14, 1))):
+        try:
+            return np.linalg.cholesky(H + tau * np.max(np.abs(H)) * np.eye(len(H)) if tau else H)
+        except np.linalg.LinAlgError:
+            pass
+    return None
+
+
+def _descend(terms, V: np.ndarray, r: np.ndarray, a: np.ndarray):
     """Projected Newton iterates of a smooth convex function of r[1:] over the polytope.
 
     terms(r, derivs) returns a tuple led by the value, the gradient g and the
     Hessian H in r[1:] (None beyond the value unless derivs), or None where the
-    function is undefined.  Each step projects the Newton point r[1:] - H^{-1} g
-    onto the polytope in the H metric and backtracks (Armijo) on the segment
-    from r to that projection.  Both ends are feasible, so every iterate is,
-    and its Frank-Wolfe gap bounds value - optimum.  Yields (r, gap, terms(r,
-    True)) from the start r on.  Returns once no step lowers the value, or a
+    function is undefined.  Each step projects the Newton point onto the
+    polytope in the metric H (damped by _factor) and backtracks (Armijo) to
+    t on the segment from r to the projection w @ V; r's weights a (r = a @ V)
+    move to a + t (w - a).  Both ends are feasible, so every iterate is, and
+    its Frank-Wolfe gap bounds value - optimum.  Yields (r, a, gap, terms(r,
+    True)) from the start on.  Returns once no step lowers the value, or a
     step that only held it within roundoff did not shrink the gap: the loop
     has stalled at roundoff.
     """
@@ -322,12 +334,12 @@ def _descend(terms, V: np.ndarray, r: np.ndarray):
         gap = _duality_gap(V, r, g)
         if flat and not gap < prev_gap:
             return
-        yield r, gap, out
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
+        yield r, a, gap, out
+        L = _factor(H)
+        if L is None:
             return
-        d = _project(V1, L, r[1:] - scipy.linalg.cho_solve((L, True), g)) - r[1:]
+        w = _project(V1, L, r[1:] - scipy.linalg.cho_solve((L, True), g))
+        d = w @ V1 - r[1:]
         slope = float(g @ d)
         # a rise within the value's roundoff passes, so Newton steps near the optimum go through
         slack = 8.0 * eps * abs(value)
@@ -341,13 +353,13 @@ def _descend(terms, V: np.ndarray, r: np.ndarray):
             t *= 0.5
             if t < 1e-12:
                 return
-        flat, prev_gap, r = not new[0] < value, gap, trial
+        flat, prev_gap, r, a = not new[0] < value, gap, trial, a + t * (w - a)
 
 
-def _vertex_weights(V: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Basic vertex weights of a point of the polytope: one NNLS of [V^T / E; 1^T] w = [r / E; 1]."""
-    w, _ = scipy.optimize.nnls(np.vstack([V.T / r[0], np.ones(V.shape[0])]), np.append(r / r[0], 1.0))
-    return w / w.sum()
+def _dagger_weights(N: int) -> np.ndarray:
+    """Weights of r_dagger on the K vertices: S 1/N = (1, 0, .., 0), with column l on vertex min(l, N - l)."""
+    l = np.arange(N)
+    return np.bincount(np.minimum(l, N - l)) / N
 
 
 def _certificate(gap: float, value: float, iterations: int, stalled: bool, method: str, opts) -> Certificate:
@@ -374,11 +386,12 @@ class _in_r:
 def _newton_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptions):
     """D/A: projected Newton on the criterion from r_dagger, certified by the Frank-Wolfe gap."""
     it, stalled = 0, True
-    for it, (r, gap, (value, *_)) in enumerate(_descend(_in_r(problem, p_inv), V, problem.r_dagger())):
+    start = problem.r_dagger(), _dagger_weights(problem.N)
+    for it, (r, a, gap, (value, *_)) in enumerate(_descend(_in_r(problem, p_inv), V, *start)):
         if gap <= opts.gap_rel_tol * abs(value) + np.finfo(float).tiny or it == opts.max_iter:
             stalled = False
             break
-    return r, value, _certificate(gap, value, it, stalled, "newton", opts)
+    return r, a, value, _certificate(gap, value, it, stalled, "newton", opts)
 
 
 def _e_bound(sigma2: float, lam: np.ndarray, fp: np.ndarray, gap: float) -> float:
@@ -405,19 +418,19 @@ def _barrier_design(problem, V: np.ndarray, p_inv: np.ndarray, opts: SolverOptio
     bound of the dual points Z = G / tr G, G = (Q - t I)^{-1}, certify the result.
     """
     sigma2, tol = problem.sigma2, opts.gap_rel_tol
-    r, terms = problem.r_dagger(), _in_r(problem, p_inv)
+    r, a, terms = problem.r_dagger(), _dagger_weights(problem.N), _in_r(problem, p_inv)
     best, g, _, lam, fp = terms(r, True)
-    best_r, bound = r, _e_bound(sigma2, lam, fp, _duality_gap(V, r, g))
+    best_r, best_a, bound = r, a, _e_bound(sigma2, lam, fp, _duality_gap(V, r, g))
     terms.s, stalled = problem.n / lam[0], True
-    for it, (r, gap, (_, _, _, lam, fp)) in enumerate(_descend(terms, V, r)):
+    for it, (r, a, gap, (_, _, _, lam, fp)) in enumerate(_descend(terms, V, r, a)):
         if sigma2 / lam[0] < best:
-            best_r, best = r, sigma2 / lam[0]
+            best_r, best_a, best = r, a, sigma2 / lam[0]
         bound = max(bound, _e_bound(sigma2, lam, fp, gap))
         if best - bound <= tol * best or it == opts.max_iter:
             stalled = False
             break
         terms.s = max(terms.s, _KAPPA * problem.n / (sigma2 / bound - lam[0]))
-    return best_r, best, _certificate(best - bound, best, it, stalled, "barrier", opts)
+    return best_r, best_a, best, _certificate(best - bound, best, it, stalled, "barrier", opts)
 
 
 def solve(
@@ -428,20 +441,17 @@ def solve(
 ) -> DesignSolution:
     """Minimize the problem's criterion over the correlation polytope.
 
-    Returns the optimal correlations, the full-length simplex weights over the
-    columns of S (mass only on the first K = floor(N/2)+1 columns), and one
-    input realizing them via recover_input.
+    Returns the optimal correlations r, the weights that produced r as
+    full-length simplex weights over the columns of S (mass only on the first
+    K = floor(N/2)+1 columns; E S a = r up to roundoff), and one input
+    realizing them via recover_input.
     """
     opts = options or SolverOptions()
     p_inv = problem.p_inverse()
     V = vertices(problem.N, problem.n, problem.energy)
     design = _barrier_design if problem.criterion == "E" else _newton_design
-    r, value, cert = design(problem, V, p_inv, opts)
-    w = _vertex_weights(V, r)
-    a = np.zeros(problem.N)
-    a[: w.size] = w
-    a = np.clip(a, 0.0, None)
-    a /= a.sum()
+    r, w, value, cert = design(problem, V, p_inv, opts)
+    a = np.pad(w, (0, problem.N - w.size))
     u = recover_input(a, problem.energy, problem.N, sign_pattern=sign_pattern, seed=seed)
     return DesignSolution(r=r, a=a, u=u, value=value, criterion=problem.criterion, certificate=cert)
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from optinput import design_map
 from optinput.design_map import (
     CorrelationVector,
     InvalidWeights,
@@ -279,6 +282,25 @@ class TestRecoverInput:
             recover_input(a, 1.0, 4, sign_pattern=np.array([1.0, -1.0, 0.5, 1.0]))
         with pytest.raises(ValueError):
             recover_input(a, 1.0, 4, sign_pattern=np.ones(3))
+
+    def test_long_period_check_stays_small(self):
+        # the roundtrip check must not build the K x K cosine matrix, 134 MB at this N
+        N = 8192
+        a = np.random.default_rng(4).dirichlet(np.ones(N))
+        tracemalloc.start()
+        try:
+            recover_input(a, 10.0, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_failed_roundtrip_raises(self, monkeypatch):
+        a = np.random.default_rng(5).dirichlet(np.ones(9))
+        exact = design_map.circular_correlation
+        monkeypatch.setattr(design_map, "circular_correlation", lambda u, n: exact(u, n) + 1e-6)
+        with pytest.raises(ArithmeticError):
+            recover_input(a, 1.0, 9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100)

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from optinput.design_map import build_S, quadratic_map, vertices, weights_to_r
+from optinput.design_map import build_S, check_weights, quadratic_map, vertices, weights_to_r
 from optinput.design_solver import (
     CRITERIA,
     DesignProblem,
@@ -348,11 +348,28 @@ class TestSolve:
         assert np.all(diffs <= 1e-12)
 
     def test_weights_reproduce_the_correlation(self):
-        p = dc_problem("D")
-        s = solve(p)
-        want = weights_to_r(s.a, build_S(p.N, p.n), p.energy)
-        assert np.max(np.abs(want.r - s.r)) <= 1e-9
-        assert np.all(s.a[p.N // 2 + 1 :] == 0.0)
+        # the returned weights are the solver's own: E S a is r up to roundoff,
+        # for even and odd N, n = 1 and N = n
+        for criterion, (n, N) in itertools.product(CRITERIA, [(3, 8), (3, 9), (1, 5), (4, 4), (4, 7)]):
+            p = dc_problem(criterion, rho=0.5, n=n, N=N, energy=2.0)
+            s = solve(p)
+            check_weights(s.a, N)
+            want = weights_to_r(s.a, build_S(p.N, p.n), p.energy)
+            assert np.max(np.abs(want.r - s.r)) <= 1e-12 * p.energy
+            assert np.all(s.a[p.N // 2 + 1 :] == 0.0)
+
+    @pytest.mark.parametrize("name", ["Ridge-N4", "DI-N4", "DI-N7"])
+    def test_r_dagger_design_returns_the_r_dagger_weights(self, name):
+        # the uniform weights 1/N on the N columns of S, folded onto the first K
+        family, N = name.split("-N")
+        N = int(N)
+        params = {"c": 1.0} if family == "Ridge" else {"c": 1.0, "lam": 0.8}
+        s = solve(DesignProblem(KernelSpec(family, 4, params), 0.5, 4, N, 1.0, "E"))
+        assert s.certificate.converged and s.certificate.iterations == 0
+        want = np.zeros(N)
+        for l in range(N):
+            want[min(l, N - l)] += 1.0 / N
+        assert np.array_equal(s.a, want)
 
     def test_json_roundtrip(self):
         s = solve(dc_problem("A"))
@@ -489,6 +506,20 @@ class TestNewtonPath:
         bound = s.value - s.certificate.gap
         V = vertices(N, n, 10.0)
         assert all(bound <= eval_criterion(p, r) for r in [p.r_dagger(), *V])
+
+    @pytest.mark.parametrize(
+        "n, N, sigma2, criterion",
+        [(12, 12, 1.0, "A"), (12, 12, 100.0, "E"), (5, 6, 1.0, "A")],
+    )
+    def test_damped_step_at_the_tc_cap(self, n, N, sigma2, criterion):
+        # at the EB fit's TC cap lam = 1 - 1e-6 the Hessian at r_dagger is not
+        # numerically positive definite, so the Newton step must be damped
+        spec = KernelSpec("TC", n, {"c": 1.0, "lam": 1.0 - 1e-6})
+        p = DesignProblem(spec, sigma2, n, N, 0.1, criterion)
+        s = solve(p)
+        assert s.certificate.converged
+        best = min(eval_criterion(p, v) for v in vertices(N, n, 0.1))
+        assert s.value <= best + 1e-9 * abs(best)
 
 
 def lower_bound_violations(problem, s, grid_resolution=24):
