@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
+import scipy.linalg
 
 from .design_solver import CRITERIA, Certificate, DesignProblem, SolverOptions, solve
 from .estimator import (
@@ -78,13 +78,18 @@ def _draw_candidate(rng: np.random.Generator, order: int, horizon: int):
     zeros = np.concatenate([zeros, zeros.conj()])
     if z_real:
         zeros = np.append(zeros, rng.uniform(-1.2, 1.2))
-    b = np.real(np.poly(zeros))
+    b = np.atleast_1d(np.real(np.poly(zeros)))
     a = np.real(np.poly(poles))
-    impulse = np.zeros(horizon)
-    impulse[0] = 1.0
-    # deg b = deg a - 1, so lfilter's k-th output is the (k+1)-th impulse tap
-    g = scipy.signal.lfilter(b, a, impulse)
-    return g, poles
+    # The first `horizon` taps solve sum_j a_j g_{k-j} = b_k (deg b = deg a - 1,
+    # so g_0 = b_0 is the first tap): forward substitution in the banded lower
+    # triangular Toeplitz system Toeplitz(a) g = b, with a and b cut or
+    # zero-padded to the horizon.  Band storage holds a in every column; the
+    # transpose makes it Fortran-ordered, so LAPACK takes it without a copy.
+    a = a[:horizon]
+    rhs = np.zeros((horizon, 1))
+    rhs[: b.size, 0] = b[:horizon]
+    g, _info = scipy.linalg.lapack.dtbtrs(np.repeat(a[None, :], horizon, axis=0).T, rhs, uplo="L")
+    return g[:, 0], poles
 
 
 def generate_test_system(
@@ -98,12 +103,15 @@ def generate_test_system(
     """Draw a test system whose first n taps carry almost all of the response.
 
     Candidates of the given rational order (pole radii in [0.4, 0.95], random
-    zeros) are normalized to a unit-norm impulse response and rejected until
-    the discarded tail satisfies sum_{k>n} |g_k| <= tail_fraction * sum |g_k|.
-    Deterministic per seed.
+    zeros) are normalized to a unit-norm impulse response over their first
+    `horizon` taps (so horizon >= n) and rejected until the discarded tail
+    satisfies sum_{k>n} |g_k| <= tail_fraction * sum |g_k|.  Deterministic
+    per seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if horizon < n:
+        raise ValueError(f"horizon {horizon} is shorter than the {n} taps asked for")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         g, _poles = _draw_candidate(rng, order, horizon)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 
+from optinput import experiment
 from optinput.estimator import InputSequence, ls_estimate
 from optinput.experiment import (
     DegenerateTruth,
@@ -20,6 +26,30 @@ from optinput.experiment import (
 from optinput.experiment import TestSystem as FirSystem
 
 TINY = dict(n=12, N=24, energy=6.0, criteria=("D",), master_seed=3)
+
+
+def _lfilter_draw(rng, order, horizon):
+    """The draw with its impulse response from scipy.signal.lfilter: the oracle."""
+    n_pairs, n_real = divmod(order, 2)
+    mags = rng.uniform(0.4, 0.95, n_pairs)
+    angs = rng.uniform(0.0, np.pi, n_pairs)
+    poles = mags * np.exp(1j * angs)
+    poles = np.concatenate([poles, poles.conj()])
+    if n_real:
+        poles = np.append(poles, rng.uniform(0.4, 0.95) * rng.choice([-1.0, 1.0]))
+    nz = order - 1
+    z_pairs, z_real = divmod(nz, 2)
+    zmags = rng.uniform(0.0, 1.2, z_pairs)
+    zangs = rng.uniform(0.0, np.pi, z_pairs)
+    zeros = zmags * np.exp(1j * zangs)
+    zeros = np.concatenate([zeros, zeros.conj()])
+    if z_real:
+        zeros = np.append(zeros, rng.uniform(-1.2, 1.2))
+    b = np.real(np.poly(zeros))
+    a = np.real(np.poly(poles))
+    impulse = np.zeros(horizon)
+    impulse[0] = 1.0
+    return scipy.signal.lfilter(b, a, impulse), poles
 
 
 class TestGenerateSystem:
@@ -47,6 +77,35 @@ class TestGenerateSystem:
         with pytest.raises(ValueError):
             generate_test_system(0, 0)
 
+    def test_rejects_a_horizon_shorter_than_n(self):
+        with pytest.raises(ValueError, match="horizon"):
+            generate_test_system(0, 20, horizon=10)
+        assert generate_test_system(0, 12, horizon=12).order == 12
+
+    # the generator's own random poles only: repeated poles such as
+    # np.poly(np.full(30, 0.5)) make the recurrence so ill-conditioned that
+    # any two summation orders differ by O(0.1)
+    @pytest.mark.parametrize("order", [1, 2, 3, 30])
+    @pytest.mark.parametrize("horizon", [1, 2, 31, 512])
+    def test_candidate_matches_the_lfilter_oracle(self, order, horizon):
+        # horizon 1 and 2 cut a band wider than the record
+        for seed in range(5):
+            g, poles = experiment._draw_candidate(np.random.default_rng(seed), order, horizon)
+            g_ref, poles_ref = _lfilter_draw(np.random.default_rng(seed), order, horizon)
+            assert g.shape == (horizon,)
+            assert np.array_equal(poles, poles_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-9 * np.max(np.abs(g_ref))
+
+    def test_systems_match_the_lfilter_oracle(self, monkeypatch):
+        ours = {(seed, n): generate_test_system(seed, n).impulse_response
+                for seed in range(50) for n in (12, 20, 30, 50)}
+        monkeypatch.setattr(experiment, "_draw_candidate", _lfilter_draw)
+        for (seed, n), g in ours.items():
+            # same accepted candidate, so the same length and taps
+            g_ref = generate_test_system(seed, n).impulse_response
+            assert g.shape == g_ref.shape == (n,)
+            assert np.max(np.abs(g - g_ref)) <= 1e-9
+
     def test_inadmissible_truncation_exhausts_the_draw_budget(self):
         # almost no 30th order response fits into 6 taps
         with pytest.raises(RuntimeError):
@@ -55,6 +114,14 @@ class TestGenerateSystem:
     def test_system_validation(self):
         with pytest.raises(ValueError):
             FirSystem(np.zeros((2, 2)))
+
+
+def test_importing_optinput_does_not_load_scipy_signal():
+    code = ("import optinput, optinput.experiment, optinput.cli, sys; "
+            "assert 'scipy.signal' not in sys.modules")
+    # a fresh interpreter that imports this same optinput package
+    env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestNoiseFreeOutput:
