@@ -36,7 +36,6 @@ from .estimator import (
     FirEstimate,
     InputSequence,
     bayesian_mse,
-    build_circulant_regressor,
     eb_objective,
     estimate_noise_variance,
     fit_hyperparameters,
@@ -72,7 +71,6 @@ __all__ = [
     "FirEstimate",
     "InputSequence",
     "bayesian_mse",
-    "build_circulant_regressor",
     "eb_objective",
     "estimate_noise_variance",
     "fit_hyperparameters",

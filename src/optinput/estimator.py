@@ -7,8 +7,9 @@ of that convention this module provides least squares, regularized least
 squares with its posterior covariance, the Bayesian mean squared error matrix,
 and an empirical-Bayes hyperparameter search for the kernel families.
 
-Everything is computed in n x n form from FFT correlations (Phi^T Phi and
-Phi^T y) and M = P Phi^T Phi + sigma2 I, so no N x N matrix is formed.
+Phi^T Phi, Phi^T y and Phi theta come by FFT, and the prior enters through
+P = R R^T (rank k) and the Cholesky factor of sigma2 I_k + R^T Phi^T Phi R, so
+no N x N or N x n matrix is formed and P is never inverted.
 """
 
 from __future__ import annotations
@@ -124,18 +125,6 @@ def _check_order(n: int, N: int):
         raise OrderTooLarge(f"FIR order {n} exceeds record length {N}")
 
 
-def build_circulant_regressor(u, n: int) -> np.ndarray:
-    """N x n regression matrix with row t equal to (u_t, u_{t-1}, ..., u_{t-n+1}).
-
-    Indices wrap modulo N, so column i is the input delayed circularly by i.
-    """
-    v = _values(u)
-    N = v.size
-    _check_order(n, N)
-    idx = (np.arange(N)[:, None] - np.arange(n)[None, :]) % N
-    return v[idx]
-
-
 def _lag_products(v: np.ndarray, w: np.ndarray | None, n: int) -> np.ndarray:
     """sum_t v_{(t-i) mod N} w_t for i = 0..n-1 by FFT: Phi^T w, or the correlations r of v if w is None."""
     _check_order(n, v.size)
@@ -144,39 +133,53 @@ def _lag_products(v: np.ndarray, w: np.ndarray | None, n: int) -> np.ndarray:
     return np.fft.irfft(spec, v.size)[:n]
 
 
+def _convolve(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_i theta_i v_{(t-i) mod N} for t = 0..N-1 by FFT: Phi theta for the circulant regressor of v."""
+    _check_order(theta.size, v.size)
+    return np.fft.irfft(np.fft.rfft(v) * np.fft.rfft(theta, v.size), v.size)
+
+
 def _normal_equations(u, n: int, y):
     """Phi^T Phi = Toeplitz(r) and Phi^T y, without forming Phi."""
     v, y = _values(u), np.asarray(y, dtype=float)
-    if y.shape != v.shape:
-        raise ValueError("y must have one sample per input sample")
+    if y.shape != v.shape or not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite, with one sample per input sample")
     return scipy.linalg.toeplitz(_lag_products(v, None, n)), _lag_products(v, y, n)
 
 
 def _factor(P: np.ndarray, T: np.ndarray, sigma2: float):
-    """LU factor of M = P T + sigma2 I and log det M; (T + sigma2 P^{-1})^{-1} = M^{-1} P.
+    """P's pivoted Cholesky factor R (n x k, k = rank P) and the Cholesky factor L of sigma2 I_k + R^T T R.
 
-    P is never inverted, so it may be numerically singular.  det M > 0 in
-    exact arithmetic; a non-positive sign raises NotPositiveDefinite.
+    A singular P (TC at lam = 1 is c 11^T) is exact, and (T + sigma2 P^{-1})^{-1} = R (L L^T)^{-1} R^T.
+    Rounding can leave L L^T indefinite where R^T T R dwarfs sigma2: NotPositiveDefinite.
     """
-    n = T.shape[0]
-    lu, piv = scipy.linalg.lu_factor(P @ T + sigma2 * np.eye(n))
-    d = np.diag(lu)
-    if (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(np.sign(d)) <= 0.0:
-        raise linalg.NotPositiveDefinite("P Phi^T Phi + sigma2 I has a non-positive determinant")
-    return (lu, piv), float(np.sum(np.log(np.abs(d))))
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive")
+    c, piv, k, _ = scipy.linalg.lapack.dpstrf(P, lower=1)
+    k = max(k, 1)  # P = 0 has rank 0: keep one (zero) column so no LAPACK call sees an empty matrix
+    R = np.empty((P.shape[0], k))
+    R[piv - 1] = np.tril(c[:, :k])
+    L, info = scipy.linalg.lapack.dpotrf(sigma2 * np.eye(k) + R.T @ T @ R, lower=1)
+    if info:
+        raise linalg.NotPositiveDefinite("sigma2 I + R^T Phi^T Phi R is not positive definite")
+    return R, L
 
 
-def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
-    """Least squares FIR fit of order n (no prior)."""
-    gram, b = _normal_equations(record.u, n, record.y)
+def _ls_solve(u, n: int, y) -> np.ndarray:
+    """Order-n least squares coefficients from the normal equations."""
+    gram, b = _normal_equations(u, n, y)
     # rounding can carry a rank-deficient gram through the factorization
     if np.linalg.cond(gram) > 1.0 / np.finfo(float).eps:
         raise SingularRegressor("Phi^T Phi is singular")
     try:
-        theta = linalg.solve(gram, b)
+        return linalg.solve(gram, b)
     except linalg.NotPositiveDefinite:
         raise SingularRegressor("Phi^T Phi is singular") from None
-    return FirEstimate(theta, None, "LS")
+
+
+def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
+    """Least squares FIR fit of order n (no prior)."""
+    return FirEstimate(_ls_solve(record.u, n, record.y), None, "LS")
 
 
 def rls_estimate(record: DataRecord, P: SymMatrix, sigma2: float) -> FirEstimate:
@@ -194,32 +197,32 @@ def bayesian_mse(u, P: SymMatrix, sigma2: float, n: int | None = None) -> SymMat
     """Bayesian MSE matrix sigma2 * (Phi^T Phi + sigma2 P^{-1})^{-1}.
 
     Phi^T Phi = Toeplitz(r), so this is the design layer's sigma2 Q(r)^{-1}.
-    Computed as sigma2 M^{-1} P, so no inverse of P is needed; for u = 0 it
-    reduces to the prior covariance P.
+    Computed as sigma2 X^T X with X = L^{-1} R^T (see _factor), so no inverse
+    of P is needed; for u = 0 it reduces to the prior covariance P.
     """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
     Pm = linalg.as_sym(P).a
     if n is None:
         n = Pm.shape[0]
     if Pm.shape[0] != n:
         raise ValueError("P must be n x n")
-    lu, _ = _factor(Pm, scipy.linalg.toeplitz(_lag_products(_values(u), None, n)), sigma2)
-    return SymMatrix(sigma2 * scipy.linalg.lu_solve(lu, Pm))
+    R, L = _factor(Pm, scipy.linalg.toeplitz(_lag_products(_values(u), None, n)), sigma2)
+    X = scipy.linalg.lapack.dtrtrs(L, R.T, lower=1)[0]
+    return SymMatrix(sigma2 * (X.T @ X))
 
 
 def _eb_value(P: np.ndarray, T: np.ndarray, b: np.ndarray, yy: float, N: int, sigma2: float) -> float:
-    # matrix determinant lemma and Woodbury identity on F = Phi P Phi^T + sigma2 I:
-    # log det F = (N - n) log sigma2 + log det M, y^T F^{-1} y = (y^T y - b^T M^{-1} P b) / sigma2
-    lu, logdet_m = _factor(P, T, sigma2)
-    quad = (yy - float(b @ scipy.linalg.lu_solve(lu, P @ b))) / sigma2
-    return quad + (N - T.shape[0]) * np.log(sigma2) + logdet_m
+    # matrix determinant lemma and Woodbury identity on F = Phi R R^T Phi^T + sigma2 I, with R n x k:
+    # log det F = (N - k) log sigma2 + log det L L^T, y^T F^{-1} y = (y^T y - ||L^{-1} R^T b||^2) / sigma2
+    R, L = _factor(P, T, sigma2)
+    z = scipy.linalg.lapack.dtrtrs(L, R.T @ b, lower=1)[0]
+    return (yy - z @ z) / sigma2 + (N - len(L)) * np.log(sigma2) + 2.0 * np.log(L.diagonal()).sum()
 
 
 def eb_objective(spec: KernelSpec, y, u, sigma2: float) -> float:
     """Marginal-likelihood objective y^T F^{-1} y + log det F, F = Phi P Phi^T + sigma2 I.
 
-    Evaluated in n x n form; raises NotPositiveDefinite where rounding leaves det M <= 0.
+    Evaluated in k x k form on P's rank-k factor (see _factor); raises
+    NotPositiveDefinite where rounding leaves sigma2 I + R^T Phi^T Phi R indefinite.
     """
     y = np.asarray(y, dtype=float)
     T, b = _normal_equations(u, spec.n, y)
@@ -311,7 +314,5 @@ def estimate_noise_variance(y, u, m: int | None = None) -> float:
         m = N // 2
     if not 1 <= m <= N - 2:
         raise OrderTooLarge(f"residual fit order m={m} needs 1 <= m <= N-2 (N={N})")
-    record = DataRecord(InputSequence(v, max(float(v @ v), np.finfo(float).tiny)), y)
-    est = ls_estimate(record, m)
-    resid = y - build_circulant_regressor(v, m) @ est.theta
+    resid = y - _convolve(v, _ls_solve(v, m, y))
     return float(resid @ resid) / (N - m)

@@ -25,7 +25,7 @@ from .design_solver import CRITERIA, Certificate, DesignProblem, SolverOptions, 
 from .estimator import (
     DataRecord,
     InputSequence,
-    build_circulant_regressor,
+    _convolve,
     estimate_noise_variance,
     fit_hyperparameters,
     rls_estimate,
@@ -134,8 +134,7 @@ def generate_test_system(
 
 def noise_free_output(system: TestSystem, u: InputSequence) -> np.ndarray:
     """Circular steady-state response of the test system to one input period."""
-    phi = build_circulant_regressor(u.values, system.order)
-    return phi @ system.impulse_response
+    return _convolve(u.values, system.impulse_response)
 
 
 def simulate_record(

@@ -1,8 +1,8 @@
 """Dense symmetric-matrix services shared by the design and estimation layers.
 
-Kernel inverses and least-squares solves funnel through the handful of
-operations here, thin layers over LAPACK's Cholesky factor, so the failure
-mode is centralized: factorizations raise :class:`NotPositiveDefinite`.
+Thin layers over LAPACK's Cholesky factor that raise :class:`NotPositiveDefinite`
+for a matrix that is not positive definite.  design_solver and estimator._factor
+call LAPACK directly on their hot paths and report a failure by the same exception.
 """
 
 from __future__ import annotations

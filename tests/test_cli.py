@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import build_circulant_regressor
 from optinput.cli import EXIT_CLAIM_FAILED, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from optinput.design_solver import DesignSolution
-from optinput.estimator import DataRecord, InputSequence, build_circulant_regressor
+from optinput.estimator import DataRecord, InputSequence
 from optinput.kernels import KernelSpec, build_kernel
 
 

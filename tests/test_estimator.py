@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pd_matrix
+from conftest import build_circulant_regressor, random_pd_matrix
 from optinput import linalg
 from optinput.design_solver import CRITERIA, DesignProblem, solve
 from optinput.estimator import (
@@ -13,7 +13,6 @@ from optinput.estimator import (
     SingularRegressor,
     _clip_params,
     bayesian_mse,
-    build_circulant_regressor,
     eb_objective,
     estimate_noise_variance,
     fit_hyperparameters,
@@ -196,6 +195,11 @@ class TestBayesianMse:
         mse = bayesian_mse(np.zeros(8), linalg.SymMatrix(P), 2.0)
         assert np.allclose(mse.a, P, rtol=0, atol=1e-12)
 
+    def test_zero_prior_returns_zero(self):
+        # P = 0 has rank 0 in the pivoted factor
+        mse = bayesian_mse(np.ones(5), linalg.SymMatrix(np.zeros((3, 3))), 1.0)
+        assert np.array_equal(mse.a, np.zeros((3, 3)))
+
     def test_matches_rls_posterior(self):
         rec, _ = white_record(7, n=4, N=16, sigma2=0.8)
         P = linalg.SymMatrix(random_pd_matrix(np.random.default_rng(8), 4))
@@ -241,6 +245,16 @@ class TestEbObjective:
         F = phi @ build_kernel(spec).a @ phi.T + sigma2 * np.eye(N)
         direct = float(y @ np.linalg.solve(F, y)) + np.linalg.slogdet(F)[1]
         assert eb_objective(spec, y, u, sigma2) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_output(self, bad):
+        rng = np.random.default_rng(19)
+        u, y = rng.standard_normal(9), rng.standard_normal(9)
+        y[4] = bad
+        with pytest.raises(ValueError):
+            eb_objective(KernelSpec("TC", 3, {"c": 1.0, "lam": 0.8}), y, u, 1.0)
+        with pytest.raises(ValueError):
+            fit_hyperparameters(y, u, 3, 1.0, family="TC")
 
     def test_finite_difference_continuity(self):
         # central and forward differences in c agree on the interior
@@ -330,6 +344,45 @@ class TestEbBoxCorners:
             + np.linalg.slogdet(Q)[1]
         )
         assert eb_objective(spec, y, u, sigma2) == pytest.approx(expected, rel=1e-9)
+
+
+class TestRankOnePrior:
+    # P = c 11^T (TC at lam = 1). With v = Phi 1, s = v^T v and a = v^T y:
+    # log det F = N log sigma2 + log(1 + c s / sigma2), y^T F^{-1} y = (y^T y - c a^2 / (sigma2 + c s)) / sigma2,
+    # the posterior is c sigma2 / (sigma2 + c s) 11^T and theta = c a / (sigma2 + c s) 1
+    @pytest.mark.parametrize("c", [1.0, 1e12])
+    def test_closed_forms(self, c):
+        rng = np.random.default_rng(5)
+        n, N, sigma2 = 30, 64, 0.5
+        u, y = rng.standard_normal(N), rng.standard_normal(N)
+        spec = KernelSpec("TC", n, {"c": c, "lam": 1.0})
+        v = build_circulant_regressor(u, n).sum(axis=1)
+        s, a = float(v @ v), float(v @ y)
+        expected = (float(y @ y) - c * a**2 / (sigma2 + c * s)) / sigma2 + N * np.log(sigma2) + np.log1p(c * s / sigma2)
+        assert eb_objective(spec, y, u, sigma2) == pytest.approx(expected, rel=1e-12)
+        post = c * sigma2 / (sigma2 + c * s)
+        P = build_kernel(spec)
+        assert np.max(np.abs(bayesian_mse(u, P, sigma2).a - post)) <= 1e-12 * post
+        est = rls_estimate(DataRecord(InputSequence(u, float(u @ u)), y), P, sigma2)
+        assert np.max(np.abs(est.posterior_cov.a - post)) <= 1e-12 * post
+        theta = c * a / (sigma2 + c * s)
+        assert np.max(np.abs(est.theta - theta)) <= 1e-12 * abs(theta)
+
+
+class TestSigma2Validation:
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan])
+    def test_eb_objective_rejects(self, sigma2):
+        rng = np.random.default_rng(18)
+        u, y = rng.standard_normal(12), rng.standard_normal(12)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            eb_objective(KernelSpec("TC", 3, {"c": 1.0, "lam": 0.8}), y, u, sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan])
+    def test_fit_hyperparameters_rejects(self, sigma2):
+        rng = np.random.default_rng(18)
+        u, y = rng.standard_normal(12), rng.standard_normal(12)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            fit_hyperparameters(y, u, 3, sigma2, family="TC")
 
 
 class TestFitHyperparameters:
@@ -425,3 +478,13 @@ class TestEstimateNoiseVariance:
         rng = np.random.default_rng(15)
         u, y = rng.standard_normal(30), rng.standard_normal(30)
         assert estimate_noise_variance(y, u) == estimate_noise_variance(y, u, 15)
+
+    @pytest.mark.parametrize(
+        "N, m", sorted({(N, m) for N in (7, 8, 50, 512) for m in (1, N // 4, N // 2) if m <= N - 2})
+    )
+    def test_matches_the_regressor_residual(self, N, m):
+        rng = np.random.default_rng(N + m)
+        u, y = rng.standard_normal(N), rng.standard_normal(N)
+        phi = build_circulant_regressor(u, m)
+        resid = y - phi @ np.linalg.lstsq(phi, y, rcond=None)[0]
+        assert estimate_noise_variance(y, u, m) == pytest.approx(float(resid @ resid) / (N - m), rel=1e-12)
