@@ -59,7 +59,7 @@ def main() -> int:
     phi = u[(np.arange(N_SAMPLES)[:, None] - np.arange(N_ORDER)[None, :]) % N_SAMPLES]
     worst, worst_spec = 0.0, None
     for spec in points():
-        exact = reference(mpmath.mp, phi, build_kernel(spec).a, y)
+        exact = reference(mpmath.mp, phi, build_kernel(spec), y)
         try:
             err = abs(eb_objective(spec, y, u, SIGMA2) - exact) / abs(exact)
         except NotPositiveDefinite:

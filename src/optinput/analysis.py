@@ -110,9 +110,8 @@ def verify_ridge_diagonal(
     return AnalyticVerdict("diagonal-kernel-zero-correlation-optimal", holds, witness)
 
 
-def _tridiagonal_offdiag(p_inv: linalg.SymMatrix) -> np.ndarray:
-    a = p_inv.a
-    n = p_inv.dim
+def _tridiagonal_offdiag(a: np.ndarray) -> np.ndarray:
+    n = len(a)
     scale = float(np.max(np.abs(a)))
     for off in range(2, n):
         if np.max(np.abs(np.diag(a, off)), initial=0.0) > 1e-12 * scale:
@@ -140,15 +139,14 @@ def verify_tridiagonal_signs(
     in either case, r^dagger is not optimal for D or A: the stationarity test
     fails and the solver finds a strictly better design.  The remaining case
     (positive off-diagonal, odd N, n > 2) is evaluated and reported without
-    being asserted.
+    being asserted.  p_inv is validated as a CustomInverse kernel's.
     """
-    p = linalg.as_sym(p_inv)
-    n = p.dim
+    spec = KernelSpec("CustomInverse", len(p_inv), {"p_inv": p_inv})
+    p, n = spec.params["p_inv"], spec.n
     if n < 2:
         raise PreconditionViolated("need n >= 2")
     off = _tridiagonal_offdiag(p)
     negative_offdiag = bool(np.all(off < 0))
-    spec = KernelSpec("CustomInverse", n, {"p_inv": p.a})
     r_dag = np.zeros(n)
     r_dag[0] = energy
     q_inv = linalg.inverse(q_of_r(r_dag, p, sigma2))
@@ -283,7 +281,7 @@ def _example_zero_trace_matrix() -> np.ndarray:
 
 
 def _dc_inverse_matrix(lam: float, rho: float, n: int) -> np.ndarray:
-    return dc_inverse(KernelSpec("DC", n, {"c": 1.0, "lam": lam, "rho": rho})).a
+    return dc_inverse(KernelSpec("DC", n, {"c": 1.0, "lam": lam, "rho": rho}))
 
 
 DEFAULT_CLAIMS = {

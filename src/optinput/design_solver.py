@@ -78,7 +78,7 @@ class DesignProblem:
             raise DimensionMismatch("kernel order must equal the FIR order n")
 
     def p_inverse(self) -> np.ndarray:
-        return kernel_inverse(self.kernel).a
+        return kernel_inverse(self.kernel)
 
     def r_dagger(self) -> np.ndarray:
         """The zero-correlation point (E, 0, ..., 0)."""
@@ -94,11 +94,18 @@ class SolverOptions:
     One convergence rule for D, A and E: a design is converged when its
     certified gap is <= gap_rel_tol * |value|, or <= 1e-8 * |value| when the
     loop stalls at roundoff (no step lowers the value or shrinks the gap).
-    max_iter bounds the Newton steps.
+    max_iter bounds the Newton steps; at 0, solve returns r_dagger with its
+    certificate.
     """
 
     gap_rel_tol: float = 1e-13
     max_iter: int = 5000
+
+    def __post_init__(self):
+        if not self.gap_rel_tol >= 0:
+            raise ValueError(f"gap_rel_tol must be >= 0, got {self.gap_rel_tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -160,13 +167,13 @@ class DesignSolution:
         )
 
 
-def q_of_r(r, p_inv, sigma2: float) -> linalg.SymMatrix:
+def q_of_r(r, p_inv: np.ndarray, sigma2: float) -> np.ndarray:
     """Q(r) = Toeplitz(r) + sigma2 * P^{-1}."""
     r = np.asarray(r, dtype=float)
-    p = linalg.as_sym(p_inv)
-    if r.shape != (p.dim,):
-        raise DimensionMismatch(f"r has length {r.size}, P^-1 is {p.dim} x {p.dim}")
-    return linalg.SymMatrix(scipy.linalg.toeplitz(r) + sigma2 * p.a)
+    n = len(p_inv)
+    if r.shape != (n,):
+        raise DimensionMismatch(f"r has length {r.size}, P^-1 is {n} x {n}")
+    return scipy.linalg.toeplitz(r) + sigma2 * p_inv
 
 
 def _toeplitz_bands(n: int) -> np.ndarray:
@@ -252,7 +259,7 @@ def _terms_at(problem: DesignProblem, r, p_inv, derivs: bool):
     """_spectral at r for the public functions; NotPositiveDefinite where Q(r) is not PD."""
     if p_inv is None:
         p_inv = problem.p_inverse()
-    Q = q_of_r(r, p_inv, problem.sigma2).a
+    Q = q_of_r(r, p_inv, problem.sigma2)
     out = _spectral(problem, Q, _toeplitz_bands(problem.n)[1:] if derivs else None)
     if out is None:
         raise linalg.NotPositiveDefinite("Q(r) is not positive definite")

@@ -9,7 +9,8 @@ and an empirical-Bayes hyperparameter search for the kernel families.
 
 Phi^T Phi, Phi^T y and Phi theta come by FFT, and the prior enters through
 P = R R^T (rank k) and the Cholesky factor of sigma2 I_k + R^T Phi^T Phi R, so
-no N x N or N x n matrix is formed and P is never inverted.
+no N x N or N x n matrix is formed and P is never inverted.  Matrices pass in
+and out as plain ndarrays; only FirEstimate.posterior_cov is a SymMatrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.linalg
 import scipy.optimize
 
 from . import linalg
-from .kernels import InvalidHyperparameter, KernelSpec, SymMatrix, build_kernel
+from .kernels import InvalidHyperparameter, KernelSpec, build_kernel
 
 
 class OrderTooLarge(ValueError):
@@ -110,7 +111,7 @@ class DataRecord:
 @dataclass(frozen=True)
 class FirEstimate:
     theta: np.ndarray
-    posterior_cov: SymMatrix | None
+    posterior_cov: linalg.SymMatrix | None
     method: str
 
 
@@ -172,9 +173,10 @@ def _ls_solve(u, n: int, y) -> np.ndarray:
     if np.linalg.cond(gram) > 1.0 / np.finfo(float).eps:
         raise SingularRegressor("Phi^T Phi is singular")
     try:
-        return linalg.solve(gram, b)
-    except linalg.NotPositiveDefinite:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         raise SingularRegressor("Phi^T Phi is singular") from None
+    return scipy.linalg.cho_solve((L, True), b)
 
 
 def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
@@ -182,32 +184,29 @@ def ls_estimate(record: DataRecord, n: int) -> FirEstimate:
     return FirEstimate(_ls_solve(record.u, n, record.y), None, "LS")
 
 
-def rls_estimate(record: DataRecord, P: SymMatrix, sigma2: float) -> FirEstimate:
+def rls_estimate(record: DataRecord, P: np.ndarray, sigma2: float) -> FirEstimate:
     """Regularized least squares fit under prior covariance P and noise sigma2.
 
     theta = (Phi^T Phi + sigma2 P^{-1})^{-1} Phi^T y; the posterior covariance
     is bayesian_mse(u, P, sigma2), so theta = posterior @ Phi^T y / sigma2.
     """
-    post = bayesian_mse(record.u, P, sigma2)
-    b = _lag_products(record.u.values, record.y, post.dim)
+    post = linalg.SymMatrix(bayesian_mse(record.u, P, sigma2))
+    b = _lag_products(record.u.values, record.y, len(post.a))
     return FirEstimate(post.a @ b / sigma2, post, "RLS")
 
 
-def bayesian_mse(u, P: SymMatrix, sigma2: float, n: int | None = None) -> SymMatrix:
-    """Bayesian MSE matrix sigma2 * (Phi^T Phi + sigma2 P^{-1})^{-1}.
+def bayesian_mse(u, P: np.ndarray, sigma2: float) -> np.ndarray:
+    """Bayesian MSE matrix sigma2 * (Phi^T Phi + sigma2 P^{-1})^{-1}, n x n for the n x n P.
 
     Phi^T Phi = Toeplitz(r), so this is the design layer's sigma2 Q(r)^{-1}.
     Computed as sigma2 X^T X with X = L^{-1} R^T (see _factor), so no inverse
-    of P is needed; for u = 0 it reduces to the prior covariance P.
+    of P is needed; for u = 0 it reduces to the prior covariance P.  P must be
+    square and finite (ValueError otherwise) and is used symmetrized.
     """
-    Pm = linalg.as_sym(P).a
-    if n is None:
-        n = Pm.shape[0]
-    if Pm.shape[0] != n:
-        raise ValueError("P must be n x n")
-    R, L = _factor(Pm, scipy.linalg.toeplitz(_lag_products(_values(u), None, n)), sigma2)
+    P = linalg.SymMatrix(P).a
+    R, L = _factor(P, scipy.linalg.toeplitz(_lag_products(_values(u), None, len(P))), sigma2)
     X = scipy.linalg.lapack.dtrtrs(L, R.T, lower=1)[0]
-    return SymMatrix(sigma2 * (X.T @ X))
+    return sigma2 * (X.T @ X)
 
 
 def _eb_value(P: np.ndarray, T: np.ndarray, b: np.ndarray, yy: float, N: int, sigma2: float) -> float:
@@ -226,7 +225,7 @@ def eb_objective(spec: KernelSpec, y, u, sigma2: float) -> float:
     """
     y = np.asarray(y, dtype=float)
     T, b = _normal_equations(u, spec.n, y)
-    return _eb_value(build_kernel(spec).a, T, b, float(y @ y), y.size, sigma2)
+    return _eb_value(build_kernel(spec), T, b, float(y @ y), y.size, sigma2)
 
 
 _DEFAULT_GRID = {
@@ -279,7 +278,7 @@ def fit_hyperparameters(
 
     def objective(x):
         try:
-            P = build_kernel(KernelSpec(family, n, _clip_params(family, x))).a
+            P = build_kernel(KernelSpec(family, n, _clip_params(family, x)))
             return _eb_value(P, T, b, yy, y.size, sigma2)
         except (linalg.NotPositiveDefinite, InvalidHyperparameter):
             return np.inf

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +110,8 @@ def generate_test_system(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if horizon < n:
         raise ValueError(f"horizon {horizon} is shorter than the {n} taps asked for")
     rng = np.random.default_rng(seed)
@@ -215,6 +217,8 @@ class McConfig:
             raise ValueError("need 1 <= n <= N")
         if not self.energy > 0:
             raise ValueError("energy must be positive")
+        if self.system_order < 1:
+            raise ValueError("system_order must be >= 1")
         lo, hi = self.snr_range
         if not (0 < lo <= hi):
             raise ValueError("snr_range must satisfy 0 < lo <= hi")
@@ -223,34 +227,19 @@ class McConfig:
         if bad:
             raise ValueError(f"unknown criteria {bad}")
         object.__setattr__(self, "criteria", tuple(self.criteria))
+        self.solver_options()  # a bad tolerance or budget fails here, not once per system
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(gap_rel_tol=self.gap_rel_tol, max_iter=self.max_iter)
 
     def to_json(self) -> dict:
-        return {
-            "systems": self.systems,
-            "n": self.n,
-            "N": self.N,
-            "energy": self.energy,
-            "snr_range": list(self.snr_range),
-            "kernel_family": self.kernel_family,
-            "criteria": list(self.criteria),
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "system_order": self.system_order,
-            "gap_rel_tol": self.gap_rel_tol,
-            "max_iter": self.max_iter,
-        }
+        obj = asdict(self)
+        obj["snr_range"], obj["criteria"] = list(self.snr_range), list(self.criteria)
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "McConfig":
-        kwargs = dict(obj)
-        if "snr_range" in kwargs:
-            kwargs["snr_range"] = tuple(kwargs["snr_range"])
-        if "criteria" in kwargs:
-            kwargs["criteria"] = tuple(kwargs["criteria"])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def _quartiles(values: np.ndarray) -> dict:

@@ -1,7 +1,7 @@
 """Prior covariance (kernel) matrices for regularized FIR estimation.
 
 A kernel is described by a :class:`KernelSpec` (family name, FIR order n,
-hyperparameters) and realized as an n x n positive definite matrix P.  The
+hyperparameters) and realized as an n x n positive definite ndarray P.  The
 design pipeline needs P inverted, so hyperparameters are validated strictly
 (open bounds) even where a boundary value would still give a valid, but
 singular, P.  The DC family admits a closed-form tridiagonal inverse; TC is
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NotPositiveDefinite, SymMatrix, as_sym, cholesky, inverse
+from .linalg import SymMatrix, inverse
 
 FAMILIES = ("Ridge", "Diagonal", "DI", "TC", "DC", "CustomInverse")
 
@@ -38,7 +38,8 @@ class KernelSpec:
       DI             {"c", "lam"}          P_kk = c * lam**k
       TC             {"c", "lam"}          P_kj = c * lam**max(k, j)
       DC             {"c", "lam", "rho"}   P_kj = c * lam**((k+j)/2) * rho**|k-j|
-      CustomInverse  {"p_inv"}             P**-1 given explicitly (n x n, PD)
+      CustomInverse  {"p_inv"}             P**-1 given explicitly (n x n, PD); stored
+                                           symmetrized and read-only
     Indices k, j run from 1 to n.
     """
 
@@ -75,11 +76,14 @@ class KernelSpec:
             _require(abs(p["rho"]) < 1, "DC requires |rho| < 1")
         else:  # CustomInverse
             _require(set(p) == {"p_inv"}, "CustomInverse takes params {'p_inv'}")
-            p_inv = as_sym(np.asarray(p["p_inv"], dtype=float))
-            _require(p_inv.dim == self.n, "p_inv must be n x n")
             try:
-                cholesky(p_inv)
-            except NotPositiveDefinite:
+                p_inv = SymMatrix(p["p_inv"]).a
+            except ValueError as exc:
+                raise InvalidHyperparameter(f"p_inv: {exc}") from None
+            _require(len(p_inv) == self.n, "p_inv must be n x n")
+            try:
+                np.linalg.cholesky(p_inv)
+            except np.linalg.LinAlgError:
                 raise InvalidHyperparameter("p_inv must be positive definite") from None
             p["p_inv"] = p_inv
         object.__setattr__(self, "params", p)
@@ -87,7 +91,7 @@ class KernelSpec:
     def to_json(self) -> dict:
         params = dict(self.params)
         if self.family == "CustomInverse":
-            params["p_inv"] = params["p_inv"].a.tolist()
+            params["p_inv"] = params["p_inv"].tolist()
         return {"family": self.family, "n": self.n, "params": params}
 
     @classmethod
@@ -95,30 +99,30 @@ class KernelSpec:
         return cls(family=obj["family"], n=int(obj["n"]), params=dict(obj["params"]))
 
 
-def build_kernel(spec: KernelSpec) -> SymMatrix:
+def build_kernel(spec: KernelSpec) -> np.ndarray:
     """Realize the n x n kernel matrix P described by spec."""
     n = spec.n
     p = spec.params
     k = np.arange(1, n + 1, dtype=float)
     if spec.family == "Ridge":
-        return SymMatrix(p["c"] * np.eye(n))
+        return p["c"] * np.eye(n)
     if spec.family == "Diagonal":
-        return SymMatrix(np.diag(np.asarray(p["lams"], dtype=float)))
+        return np.diag(np.asarray(p["lams"], dtype=float))
     if spec.family == "DI":
-        return SymMatrix(np.diag(p["c"] * p["lam"] ** k))
+        return np.diag(p["c"] * p["lam"] ** k)
     if spec.family == "TC":
-        return SymMatrix(p["c"] * p["lam"] ** np.maximum(k[:, None], k[None, :]))
+        return p["c"] * p["lam"] ** np.maximum(k[:, None], k[None, :])
     if spec.family == "DC":
-        return SymMatrix(
+        return (
             p["c"]
             * p["lam"] ** ((k[:, None] + k[None, :]) / 2.0)
             * p["rho"] ** np.abs(k[:, None] - k[None, :])
         )
     # CustomInverse: invert the stored inverse
-    return SymMatrix(inverse(p["p_inv"]))
+    return inverse(p["p_inv"])
 
 
-def dc_inverse(spec: KernelSpec) -> SymMatrix:
+def dc_inverse(spec: KernelSpec) -> np.ndarray:
     """Closed-form tridiagonal inverse of a DC kernel (n >= 2, |rho| < 1).
 
     Entries, before the common factor 1 / (c (1 - rho^2)):
@@ -138,10 +142,10 @@ def dc_inverse(spec: KernelSpec) -> SymMatrix:
         off = -rho / lam ** ((2 * kk + 1) / 2.0)
         a[kk - 1, kk] = off
         a[kk, kk - 1] = off
-    return SymMatrix(a / (c * (1.0 - rho**2)))
+    return a / (c * (1.0 - rho**2))
 
 
-def kernel_inverse(spec: KernelSpec) -> SymMatrix:
+def kernel_inverse(spec: KernelSpec) -> np.ndarray:
     """P**-1 for the kernel described by spec.
 
     Dispatch: explicit inverses are returned as stored; diagonal families
@@ -153,15 +157,15 @@ def kernel_inverse(spec: KernelSpec) -> SymMatrix:
     if spec.family == "CustomInverse":
         return p["p_inv"]
     if spec.family == "Ridge":
-        return SymMatrix(np.eye(n) / p["c"])
+        return np.eye(n) / p["c"]
     if spec.family == "Diagonal":
-        return SymMatrix(np.diag(1.0 / np.asarray(p["lams"], dtype=float)))
+        return np.diag(1.0 / np.asarray(p["lams"], dtype=float))
     if spec.family == "DI":
         k = np.arange(1, n + 1, dtype=float)
-        return SymMatrix(np.diag(1.0 / (p["c"] * p["lam"] ** k)))
+        return np.diag(1.0 / (p["c"] * p["lam"] ** k))
     if spec.family == "DC" and n >= 2:
         return dc_inverse(spec)
     if spec.family == "TC" and n >= 2 and p["lam"] < 1:
         dc = KernelSpec("DC", n, {"c": p["c"], "lam": p["lam"], "rho": np.sqrt(p["lam"])})
         return dc_inverse(dc)
-    return SymMatrix(inverse(build_kernel(spec)))
+    return inverse(build_kernel(spec))

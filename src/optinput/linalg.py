@@ -1,8 +1,9 @@
 """Dense symmetric-matrix services shared by the design and estimation layers.
 
-Thin layers over LAPACK's Cholesky factor that raise :class:`NotPositiveDefinite`
-for a matrix that is not positive definite.  design_solver and estimator._factor
-call LAPACK directly on their hot paths and report a failure by the same exception.
+The layers pass plain ndarrays.  :class:`SymMatrix` validates a matrix that comes
+from outside (a CustomInverse p_inv, the P given to bayesian_mse) and types
+FirEstimate.posterior_cov.  A failed Cholesky factorization, here or in the
+layers' own LAPACK calls, is reported as :class:`NotPositiveDefinite`.
 """
 
 from __future__ import annotations
@@ -35,31 +36,12 @@ class SymMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
-
-def as_sym(m) -> SymMatrix:
-    """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
-    return m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
-
-
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == m; NotPositiveDefinite if m is not PD."""
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of a positive definite matrix (n triangular solves on its Cholesky factor)."""
     try:
-        return np.linalg.cholesky(as_sym(m).a)
+        L = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Cholesky factorization failed") from None
-
-
-def solve(m, b) -> np.ndarray:
-    """Solve m @ x = b for positive definite m via its Cholesky factor."""
-    L = cholesky(m)
-    return scipy.linalg.cho_solve((L, True), np.asarray(b, dtype=float))
-
-
-def inverse(m) -> np.ndarray:
-    """Inverse of a positive definite matrix (n triangular solves)."""
-    a = as_sym(m).a
-    return solve(a, np.eye(a.shape[0]))
+    x = scipy.linalg.cho_solve((L, True), np.eye(len(m)))
+    return (x + x.T) / 2.0

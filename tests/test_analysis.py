@@ -21,7 +21,7 @@ from optinput import linalg
 
 
 def dc_inverse_matrix(lam, rho, n):
-    return dc_inverse(KernelSpec("DC", n, {"c": 1.0, "lam": lam, "rho": rho})).a
+    return dc_inverse(KernelSpec("DC", n, {"c": 1.0, "lam": lam, "rho": rho}))
 
 
 class TestDefaultClaims:

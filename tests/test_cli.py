@@ -95,6 +95,11 @@ class TestDesign:
         assert main(design_args(ridge_file, "--criterion", "D", "--n", "4")) == EXIT_INPUT
         capsys.readouterr()
 
+    def test_rejects_a_negative_tolerance_and_budget(self, dc_file, capsys):
+        args = design_args(dc_file, "--criterion", "E", "--tol", "-1", "--max-iter", "-1")
+        assert main(args) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_random_signs_are_seeded(self, dc_file, capsys):
         outs = []
         for seed in ("7", "7", "8"):
@@ -111,7 +116,7 @@ class TestEstimate:
         rng = np.random.default_rng(42)
         n, N = 12, 200
         spec = KernelSpec("TC", n, {"c": 1.0, "lam": 0.8})
-        theta = np.linalg.cholesky(build_kernel(spec).a) @ rng.standard_normal(n)
+        theta = np.linalg.cholesky(build_kernel(spec)) @ rng.standard_normal(n)
         u = InputSequence.scaled_to_power(rng.standard_normal(N), float(N))
         y = build_circulant_regressor(u, n) @ theta + rng.normal(0.0, np.sqrt(sigma2), N)
         path = tmp_path / "record.json"

@@ -87,17 +87,17 @@ class TestDesignProblem:
 class TestQofR:
     def test_hand_example(self):
         Q = q_of_r([2.0, 1.0], np.eye(2), 1.0)
-        assert np.array_equal(Q.a, [[3.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(Q, [[3.0, 1.0], [1.0, 3.0]])
 
     def test_ridge_at_r_dagger_is_scalar(self):
         p = ridge_problem(c=2.0, sigma2=0.5, energy=3.0)
         Q = q_of_r(p.r_dagger(), p.p_inverse(), 0.5)
-        assert np.allclose(Q.a, (3.0 + 0.5 / 2.0) * np.eye(3), atol=1e-12)
+        assert np.allclose(Q, (3.0 + 0.5 / 2.0) * np.eye(3), atol=1e-12)
 
     def test_zero_correlation_leaves_the_prior_term(self):
         p_inv = np.array([[2.0, 0.3], [0.3, 1.0]])
         Q = q_of_r(np.zeros(2), p_inv, 0.7)
-        assert np.allclose(Q.a, 0.7 * p_inv, atol=1e-15)
+        assert np.allclose(Q, 0.7 * p_inv, atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -202,7 +202,7 @@ class TestSpectralKernel:
         r = interior_point(p, n)
         s = None
         if criterion == "E_s":
-            s = 2.0 * n / float(np.linalg.eigvalsh(q_of_r(r, p_inv, p.sigma2).a)[0])
+            s = 2.0 * n / float(np.linalg.eigvalsh(q_of_r(r, p_inv, p.sigma2))[0])
         terms = _in_r(p, p_inv, s)
         _, g, H = terms(r, True)[:3]
         assert g.shape == (n - 1,) and H.shape == (n - 1, n - 1)
@@ -381,6 +381,21 @@ class TestSolve:
         assert back.certificate.gap == s.certificate.gap
         assert back.certificate.converged == s.certificate.converged
         assert back.certificate.method == s.certificate.method
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"gap_rel_tol": -1.0}, {"gap_rel_tol": float("nan")}, {"max_iter": -1}], ids=str
+    )
+    def test_options_reject_a_bad_tolerance_or_budget(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverOptions(**kwargs)
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_zero_budget_returns_r_dagger_with_its_certificate(self, criterion):
+        p = dc_problem(criterion, rho=-0.6, lam=0.8, n=4, N=8, sigma2=0.5)
+        s = solve(p, SolverOptions(max_iter=0))
+        assert np.array_equal(s.r, p.r_dagger())
+        assert s.certificate.iterations == 0
+        assert s.certificate.gap > 0 and not s.certificate.converged
 
     def test_capped_solve_certifies_the_returned_point(self):
         # the optimum is on a face; one Newton step cannot certify it

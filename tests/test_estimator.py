@@ -143,19 +143,19 @@ class TestRlsEstimate:
     def test_weak_prior_approaches_ls(self):
         rec, _ = white_record(3, n=4, N=24, sigma2=0.5)
         ls = ls_estimate(rec, 4)
-        rls = rls_estimate(rec, linalg.SymMatrix(1e8 * np.eye(4)), 0.5)
+        rls = rls_estimate(rec, 1e8 * np.eye(4), 0.5)
         assert np.linalg.norm(rls.theta - ls.theta) <= 1e-4 * np.linalg.norm(ls.theta)
 
     def test_zero_output(self):
         rec, _ = white_record(4, n=3, N=10, sigma2=1.0)
-        est = rls_estimate(DataRecord(rec.u, np.zeros(10)), linalg.SymMatrix(np.eye(3)), 1.0)
+        est = rls_estimate(DataRecord(rec.u, np.zeros(10)), np.eye(3), 1.0)
         assert np.max(np.abs(est.theta)) <= 1e-15
         assert est.method == "RLS"
 
     def test_agrees_with_information_form(self):
         rec, _ = white_record(5, n=2, N=2, sigma2=1.0)
         P = np.eye(2)
-        est = rls_estimate(rec, linalg.SymMatrix(P), 1.0)
+        est = rls_estimate(rec, P, 1.0)
         phi = build_circulant_regressor(rec.u, 2)
         q = phi.T @ phi + np.linalg.inv(P)
         expected = np.linalg.solve(q, phi.T @ rec.y)
@@ -171,7 +171,7 @@ class TestRlsEstimate:
         P = random_pd_matrix(rng, n)
         u = InputSequence.scaled_to_power(rng.standard_normal(N), float(N))
         y = rng.standard_normal(N)
-        est = rls_estimate(DataRecord(u, y), linalg.SymMatrix(P), sigma2)
+        est = rls_estimate(DataRecord(u, y), P, sigma2)
         phi = build_circulant_regressor(u, n)
         q = phi.T @ phi + sigma2 * np.linalg.inv(P)
         theta_info = np.linalg.solve(q, phi.T @ y)
@@ -186,26 +186,36 @@ class TestBayesianMse:
     def test_impulsive_ridge_closed_form(self):
         energy, c, sigma2, n = 4.0, 2.0, 0.5, 3
         u = InputSequence(np.array([2.0, 0.0, 0.0, 0.0, 0.0]), energy)
-        mse = bayesian_mse(u, build_kernel(KernelSpec("Ridge", n, {"c": c})), sigma2, n)
+        mse = bayesian_mse(u, build_kernel(KernelSpec("Ridge", n, {"c": c})), sigma2)
         expected = (sigma2 / (energy + sigma2 / c)) * np.eye(n)
-        assert np.max(np.abs(mse.a - expected)) <= 1e-12
+        assert np.max(np.abs(mse - expected)) <= 1e-12
 
     def test_zero_input_returns_prior(self):
         P = random_pd_matrix(np.random.default_rng(6), 3)
-        mse = bayesian_mse(np.zeros(8), linalg.SymMatrix(P), 2.0)
-        assert np.allclose(mse.a, P, rtol=0, atol=1e-12)
+        mse = bayesian_mse(np.zeros(8), P, 2.0)
+        assert np.allclose(mse, P, rtol=0, atol=1e-12)
 
     def test_zero_prior_returns_zero(self):
         # P = 0 has rank 0 in the pivoted factor
-        mse = bayesian_mse(np.ones(5), linalg.SymMatrix(np.zeros((3, 3))), 1.0)
-        assert np.array_equal(mse.a, np.zeros((3, 3)))
+        mse = bayesian_mse(np.ones(5), np.zeros((3, 3)), 1.0)
+        assert np.array_equal(mse, np.zeros((3, 3)))
 
     def test_matches_rls_posterior(self):
         rec, _ = white_record(7, n=4, N=16, sigma2=0.8)
-        P = linalg.SymMatrix(random_pd_matrix(np.random.default_rng(8), 4))
+        P = random_pd_matrix(np.random.default_rng(8), 4)
         est = rls_estimate(rec, P, 0.8)
         mse = bayesian_mse(rec.u, P, 0.8)
-        assert np.max(np.abs(mse.a - est.posterior_cov.a)) <= 1e-12
+        assert np.max(np.abs(mse - est.posterior_cov.a)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "P", [np.ones((2, 3)), np.array([[1.0, np.inf], [np.inf, 1.0]])], ids=("nonsquare", "nonfinite")
+    )
+    def test_rejects_malformed_prior(self, P):
+        rec, _ = white_record(4, n=2, N=10, sigma2=1.0)
+        with pytest.raises(ValueError):
+            bayesian_mse(rec.u, P, 1.0)
+        with pytest.raises(ValueError):
+            rls_estimate(rec, P, 1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
@@ -216,8 +226,8 @@ class TestBayesianMse:
         N = int(rng.integers(n, 20))
         P = random_pd_matrix(rng, n)
         u = rng.standard_normal(N)
-        mse = bayesian_mse(u, linalg.SymMatrix(P), float(rng.uniform(0.1, 2.0)))
-        assert np.min(np.linalg.eigvalsh(P - mse.a)) >= -1e-10 * np.linalg.norm(P)
+        mse = bayesian_mse(u, P, float(rng.uniform(0.1, 2.0)))
+        assert np.min(np.linalg.eigvalsh(P - mse)) >= -1e-10 * np.linalg.norm(P)
 
 
 class TestEbObjective:
@@ -242,7 +252,7 @@ class TestEbObjective:
         u, y = rng.standard_normal(N), rng.standard_normal(N)
         spec = KernelSpec("DC", n, {"c": 1.5, "lam": 0.9, "rho": -0.3})
         phi = build_circulant_regressor(u, n)
-        F = phi @ build_kernel(spec).a @ phi.T + sigma2 * np.eye(N)
+        F = phi @ build_kernel(spec) @ phi.T + sigma2 * np.eye(N)
         direct = float(y @ np.linalg.solve(F, y)) + np.linalg.slogdet(F)[1]
         assert eb_objective(spec, y, u, sigma2) == pytest.approx(direct, rel=1e-9)
 
@@ -273,7 +283,7 @@ class TestEbObjective:
 def dense_estimates(spec, u, y, sigma2):
     """RLS estimate, posterior and EB objective through F = Phi P Phi^T + sigma2 I."""
     phi = build_circulant_regressor(u, spec.n)
-    P = build_kernel(spec).a
+    P = build_kernel(spec)
     F = phi @ P @ phi.T + sigma2 * np.eye(y.size)
     sol = np.linalg.solve(F, np.column_stack([y, phi @ P]))
     theta = P @ phi.T @ sol[:, 0]
@@ -298,7 +308,7 @@ class TestLongRecords:
         assert np.linalg.norm(est.theta - theta) <= 1e-9 * np.linalg.norm(theta)
         assert np.max(np.abs(est.posterior_cov.a - post)) <= 1e-9 * np.max(np.abs(post))
         mse = bayesian_mse(rec.u, P, sigma2)
-        assert np.max(np.abs(mse.a - post)) <= 1e-9 * np.max(np.abs(post))
+        assert np.max(np.abs(mse - post)) <= 1e-9 * np.max(np.abs(post))
         assert eb_objective(spec, rec.y, rec.u.values, sigma2) == pytest.approx(eb, rel=1e-9)
 
 
@@ -335,12 +345,12 @@ class TestEbBoxCorners:
         u, y = rng.standard_normal(N), rng.standard_normal(N)
         spec = KernelSpec("TC", n, {"c": 1e12, "lam": 0.9})
         phi = build_circulant_regressor(u, n)
-        Q = phi.T @ phi + sigma2 * kernel_inverse(spec).a
+        Q = phi.T @ phi + sigma2 * kernel_inverse(spec)
         b = phi.T @ y
         expected = (
             (float(y @ y) - float(b @ np.linalg.solve(Q, b))) / sigma2
             + (N - n) * np.log(sigma2)
-            + np.linalg.slogdet(build_kernel(spec).a)[1]
+            + np.linalg.slogdet(build_kernel(spec))[1]
             + np.linalg.slogdet(Q)[1]
         )
         assert eb_objective(spec, y, u, sigma2) == pytest.approx(expected, rel=1e-9)
@@ -362,7 +372,7 @@ class TestRankOnePrior:
         assert eb_objective(spec, y, u, sigma2) == pytest.approx(expected, rel=1e-12)
         post = c * sigma2 / (sigma2 + c * s)
         P = build_kernel(spec)
-        assert np.max(np.abs(bayesian_mse(u, P, sigma2).a - post)) <= 1e-12 * post
+        assert np.max(np.abs(bayesian_mse(u, P, sigma2) - post)) <= 1e-12 * post
         est = rls_estimate(DataRecord(InputSequence(u, float(u @ u)), y), P, sigma2)
         assert np.max(np.abs(est.posterior_cov.a - post)) <= 1e-12 * post
         theta = c * a / (sigma2 + c * s)
@@ -422,7 +432,7 @@ class TestFitHyperparameters:
         rng = np.random.default_rng(42)
         n, N, sigma2 = 12, 200, 1e-4
         true = KernelSpec("TC", n, {"c": 1.0, "lam": 0.8})
-        theta = np.linalg.cholesky(build_kernel(true).a) @ rng.standard_normal(n)
+        theta = np.linalg.cholesky(build_kernel(true)) @ rng.standard_normal(n)
         u = InputSequence.scaled_to_power(rng.standard_normal(N), float(N))
         y = build_circulant_regressor(u, n) @ theta + rng.normal(0.0, np.sqrt(sigma2), N)
         spec = fit_hyperparameters(y, u.values, n, sigma2, family="TC")
@@ -434,7 +444,7 @@ class TestFitHyperparameters:
         rng = np.random.default_rng(42)
         n, N = 12, 200
         true = KernelSpec("TC", n, {"c": 1.0, "lam": 0.8})
-        theta = np.linalg.cholesky(build_kernel(true).a) @ rng.standard_normal(n)
+        theta = np.linalg.cholesky(build_kernel(true)) @ rng.standard_normal(n)
         u = InputSequence.scaled_to_power(rng.standard_normal(N), float(N))
         y = build_circulant_regressor(u, n) @ theta + rng.normal(0.0, 1e-2, N)
         spec = fit_hyperparameters(y, u.values, n, 1e4, family="TC")

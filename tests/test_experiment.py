@@ -77,6 +77,10 @@ class TestGenerateSystem:
         with pytest.raises(ValueError):
             generate_test_system(0, 0)
 
+    def test_rejects_a_system_order_below_one(self):
+        with pytest.raises(ValueError):
+            generate_test_system(0, 12, order=0)
+
     def test_rejects_a_horizon_shorter_than_n(self):
         with pytest.raises(ValueError, match="horizon"):
             generate_test_system(0, 20, horizon=10)
@@ -216,6 +220,11 @@ class TestMcConfig:
             McConfig(systems=1, n=4, N=8, energy=1.0, snr_range=(3.0, 2.0))
         with pytest.raises(ValueError):
             McConfig(systems=1, n=4, N=8, energy=1.0, criteria=("D", "Z"))
+
+    @pytest.mark.parametrize("field", [{"gap_rel_tol": -1.0}, {"max_iter": -1}, {"system_order": 0}], ids=str)
+    def test_from_json_rejects_a_bad_field(self, field):
+        with pytest.raises(ValueError):
+            McConfig.from_json({"systems": 1, "n": 4, "N": 8, "energy": 1.0, **field})
 
     def test_json_roundtrip(self):
         cfg = McConfig(systems=3, n=4, N=8, energy=2.0, criteria=("A", "E"), master_seed=11)
