@@ -8,23 +8,12 @@ back to time-domain input sequences.  Estimation utilities, analytic
 optimality checks, and a Monte Carlo benchmark round out the pipeline.
 """
 
-from .design_map import (
-    CorrelationVector,
-    build_S,
-    build_W,
-    decompose_check,
-    nullspace_basis,
-    quadratic_map,
-    recover_input,
-    vertices,
-    weights_to_r,
-)
+from .design_map import circular_correlation, recover_input, vertices
 from .design_solver import (
     Certificate,
     DesignProblem,
     DesignSolution,
     SolverOptions,
-    brute_force_design,
     check_rdagger_optimality,
     eval_criterion,
     gradient_in_r,
@@ -48,20 +37,13 @@ from .linalg import SymMatrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationVector",
-    "build_S",
-    "build_W",
-    "decompose_check",
-    "nullspace_basis",
-    "quadratic_map",
+    "circular_correlation",
     "recover_input",
     "vertices",
-    "weights_to_r",
     "Certificate",
     "DesignProblem",
     "DesignSolution",
     "SolverOptions",
-    "brute_force_design",
     "check_rdagger_optimality",
     "eval_criterion",
     "gradient_in_r",

@@ -1,4 +1,4 @@
-"""Command-line interface: design, estimate, verify, mc, basis.
+"""Command-line interface: design, estimate, verify, mc.
 
 Exit codes: 0 success, 1 invalid inputs, 2 solver finished without meeting its
 convergence target (best iterate still written), 3 a verification claim failed.
@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import analysis, linalg
-from .design_map import build_S, build_W, vertices
 from .design_solver import DesignProblem, SolverOptions, solve
 from .estimator import (
     DataRecord,
@@ -140,25 +139,6 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def cmd_basis(args) -> int:
-    W = build_W(args.N)
-    S = build_S(args.N, args.n)
-    V = vertices(args.N, args.n, args.energy)
-    _write_json(
-        args.out,
-        {
-            "N": args.N,
-            "n": args.n,
-            "energy": args.energy,
-            "W": W.tolist(),
-            "S": S.tolist(),
-            "vertices": V.tolist(),
-            "orthogonality_error": float(np.max(np.abs(W.T @ W - np.eye(args.N)))),
-        },
-    )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="optinput", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("basis", help="emit W, S, and the polytope vertices as JSON")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--energy", type=float, default=1.0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_basis)
     return parser
 
 

@@ -3,7 +3,7 @@
 A design problem fixes a kernel, noise level, FIR order n, period N, energy
 budget E and a criterion.  The decision variable is the correlation vector
 r = E S a restricted to the polytope spanned by the K = floor(N/2)+1 distinct
-vertices E xi_j(0:n); all three criteria are convex functions of
+vertices E S[:, j]; all three criteria are convex functions of
 
     Q(r) = Toeplitz(r) + sigma2 * P^{-1}.
 
@@ -24,14 +24,13 @@ them.  D and A run the loop on their own value from r_dagger = (E, 0, .., 0)
 and are certified by that gap.  E runs it once along the log-det barrier path
 of max t s.t. Q(r) - t I >= 0, raising the barrier parameter after every step
 from the certified gap, and is certified by the dual point Z = G / tr G,
-G = (Q - t I)^{-1}.  A chunked brute-force grid scan over the weight simplex,
-with its own batched slogdet / inv / eigvalsh formulas, serves as an
-independent oracle for small K.
+G = (Q - t I)^{-1}.  The tests hold an independent oracle for small K: a
+grid scan over the weight simplex with its own criterion and gradient
+formulas (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ import scipy.linalg
 import scipy.optimize
 
 from . import linalg
-from .design_map import CorrelationVector, recover_input, vertices
+from .design_map import recover_input, vertices
 from .estimator import InputSequence
 from .kernels import KernelSpec, kernel_inverse
 
@@ -48,10 +47,6 @@ CRITERIA = ("D", "A", "E")
 
 class DimensionMismatch(ValueError):
     """Vector/matrix sizes are inconsistent with the problem dimensions."""
-
-
-class TooManyVertices(ValueError):
-    """The brute-force oracle is restricted to few-vertex problems."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +65,10 @@ class DesignProblem:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if not (self.n >= 1 and self.N >= self.n):
             raise ValueError("need N >= n >= 1")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if not self.energy > 0:
-            raise ValueError("energy must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0 < self.energy < np.inf:
+            raise ValueError(f"energy must be positive and finite, got {self.energy}")
         if self.kernel.n != self.n:
             raise DimensionMismatch("kernel order must equal the FIR order n")
 
@@ -111,10 +106,10 @@ class SolverOptions:
 @dataclass(frozen=True)
 class Certificate:
     """How a design was found: the gap at the returned r (value minus a lower
-    bound on the optimum), the Newton steps or grid points of the method that
-    returned it ("newton" for D/A, "barrier" for E, or "grid"), and whether
-    the gap met its target.  The gap is clamped at 0: at a vertex optimum the
-    difference of nearly equal numbers can round below it (-5.6e-17)."""
+    bound on the optimum), the Newton steps of the method that returned it
+    ("newton" for D/A, "barrier" for E), and whether the gap met its target.
+    The gap is clamped at 0: at a vertex optimum the difference of nearly
+    equal numbers can round below it (-5.6e-17)."""
 
     gap: float
     iterations: int
@@ -132,9 +127,6 @@ class DesignSolution:
     value: float
     criterion: str
     certificate: Certificate
-
-    def correlation(self) -> CorrelationVector:
-        return CorrelationVector(self.r, self.u.energy)
 
     def to_json(self) -> dict:
         return {
@@ -467,86 +459,10 @@ def check_rdagger_optimality(problem: DesignProblem, tol: float = 1e-10) -> dict
     """Stationarity test of r^dagger = (E, 0, .., 0) for the problem's criterion.
 
     Returns the inner products of the gradient at r^dagger with the vertex
-    directions xi_j(1:n), j = 0..floor(N/2); r^dagger is optimal iff all are
+    directions S[1:n, j], j = 0..floor(N/2); r^dagger is optimal iff all are
     nonnegative (up to tol).
     """
     g = gradient_in_r(problem, problem.r_dagger())
     values = vertices(problem.N, problem.n, 1.0)[:, 1:] @ g
     return {"is_stationary": bool(np.all(values >= -tol)), "directional_derivatives": values}
 
-
-def _batched_criterion(criterion: str, rs: np.ndarray, p_inv: np.ndarray, sigma2: float, n: int) -> np.ndarray:
-    Q = np.einsum("mi,ijk->mjk", rs, _toeplitz_bands(n)) + sigma2 * p_inv
-    if criterion == "D":
-        sign, ld = np.linalg.slogdet(Q)
-        out = n * np.log(sigma2) - ld
-        out[sign <= 0] = np.inf
-        return out
-    if criterion == "A":
-        return sigma2 * np.trace(np.linalg.inv(Q), axis1=1, axis2=2)
-    return sigma2 / np.linalg.eigvalsh(Q)[:, 0]
-
-
-def _compositions(total: int, parts: int):
-    """Yield chunks of all nonnegative integer compositions of total into parts.
-
-    Stars and bars: each (parts - 1)-subset of the total + parts - 1 slots
-    places the bars, and the parts are the gaps between consecutive bars.
-    """
-    bars = itertools.combinations(range(total + parts - 1), parts - 1)
-    while block := list(itertools.islice(bars, 65536)):
-        cuts = np.array(block, dtype=np.int64).reshape(len(block), parts - 1)
-        edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1))
-        yield np.diff(edges, axis=1) - 1.0
-
-
-def brute_force_design(problem: DesignProblem, grid_resolution: int = 200) -> DesignSolution:
-    """Independent oracle: exhaustive scan of the weight simplex at a fixed grid.
-
-    Only meant for problems with at most 6 distinct vertices.  The returned
-    certificate's gap field carries a first-order bound on how far the best
-    grid value can sit above the true minimum (gradient sup-norm at the best
-    grid point times the simplex rounding radius 2K/resolution).
-    """
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
-    p_inv = problem.p_inverse()
-    V = vertices(problem.N, problem.n, problem.energy)
-    keys = {}
-    for idx, row in enumerate(V):
-        key = tuple(np.round(row / problem.energy, 12))
-        keys.setdefault(key, idx)
-    distinct = sorted(keys.values())
-    Vd = V[distinct]
-    K = Vd.shape[0]
-    if K > 6:
-        raise TooManyVertices(f"{K} distinct vertices; the oracle allows at most 6")
-    best_value = np.inf
-    best_w = None
-    count = 0
-    for chunk in _compositions(grid_resolution, K):
-        weights = chunk / grid_resolution
-        rs = weights @ Vd
-        vals = _batched_criterion(problem.criterion, rs, p_inv, problem.sigma2, problem.n)
-        count += len(vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best_value:
-            best_value = float(vals[i])
-            best_w = weights[i]
-    r = best_w @ Vd
-    g = gradient_in_r(problem, r, p_inv)
-    g_w = Vd[:, 1:] @ g
-    slack = float(np.max(np.abs(g_w))) * 2.0 * K / grid_resolution
-    a = np.zeros(problem.N)
-    for wj, idx in zip(best_w, distinct):
-        a[idx] += wj
-    a /= a.sum()
-    u = recover_input(a, problem.energy, problem.N)
-    return DesignSolution(
-        r=r,
-        a=a,
-        u=u,
-        value=best_value,
-        criterion=problem.criterion,
-        certificate=Certificate(gap=slack, iterations=count, converged=True, method="grid"),
-    )

@@ -215,13 +215,13 @@ class McConfig:
             raise ValueError("systems must be >= 0")
         if not 1 <= self.n <= self.N:
             raise ValueError("need 1 <= n <= N")
-        if not self.energy > 0:
-            raise ValueError("energy must be positive")
+        if not 0 < self.energy < np.inf:
+            raise ValueError(f"energy must be positive and finite, got {self.energy}")
         if self.system_order < 1:
             raise ValueError("system_order must be >= 1")
         lo, hi = self.snr_range
-        if not (0 < lo <= hi):
-            raise ValueError("snr_range must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError(f"snr_range must satisfy 0 < lo <= hi < inf, got {self.snr_range}")
         object.__setattr__(self, "snr_range", (float(lo), float(hi)))
         bad = [c for c in self.criteria if c not in CRITERIA]
         if bad:

@@ -54,24 +54,24 @@ class KernelSpec:
         p = dict(self.params)
         if self.family == "Ridge":
             _require(set(p) == {"c"}, "Ridge takes params {'c'}")
-            _require(p["c"] > 0, "Ridge requires c > 0")
+            _require(0 < p["c"] < np.inf, "Ridge requires 0 < c < inf")
         elif self.family == "Diagonal":
             _require(set(p) == {"lams"}, "Diagonal takes params {'lams'}")
             lams = np.asarray(p["lams"], dtype=float)
             _require(lams.shape == (self.n,), "Diagonal needs n eigenvalues")
-            _require(bool(np.all(lams > 0)), "Diagonal requires all lams > 0")
+            _require(bool(np.all((lams > 0) & (lams < np.inf))), "Diagonal requires 0 < lams < inf")
             p["lams"] = [float(x) for x in lams]
         elif self.family == "DI":
             _require(set(p) == {"c", "lam"}, "DI takes params {'c', 'lam'}")
-            _require(p["c"] > 0, "DI requires c > 0")
-            _require(p["lam"] > 0, "DI requires lam > 0")
+            _require(0 < p["c"] < np.inf, "DI requires 0 < c < inf")
+            _require(0 < p["lam"] < np.inf, "DI requires 0 < lam < inf")
         elif self.family == "TC":
             _require(set(p) == {"c", "lam"}, "TC takes params {'c', 'lam'}")
-            _require(p["c"] > 0, "TC requires c > 0")
+            _require(0 < p["c"] < np.inf, "TC requires 0 < c < inf")
             _require(0 < p["lam"] <= 1, "TC requires 0 < lam <= 1")
         elif self.family == "DC":
             _require(set(p) == {"c", "lam", "rho"}, "DC takes params {'c', 'lam', 'rho'}")
-            _require(p["c"] > 0, "DC requires c > 0")
+            _require(0 < p["c"] < np.inf, "DC requires 0 < c < inf")
             _require(0 < p["lam"] <= 1, "DC requires 0 < lam <= 1")
             _require(abs(p["rho"]) < 1, "DC requires |rho| < 1")
         else:  # CustomInverse

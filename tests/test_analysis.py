@@ -13,7 +13,7 @@ from optinput.analysis import (
     verify_ridge_diagonal,
     verify_tridiagonal_signs,
 )
-from optinput.design_map import quadratic_map
+from optinput.design_map import circular_correlation
 from optinput.design_solver import DesignProblem, eval_criterion, q_of_r
 from optinput.estimator import InputSequence
 from optinput.kernels import KernelSpec, dc_inverse
@@ -161,14 +161,14 @@ class TestAsymptotics:
         spec = KernelSpec("Ridge", 3, {"c": 1.0})
         problem = DesignProblem(spec, 1.0, 3, 8, 4.0, "D")
         u = np.r_[2.0, np.zeros(7)]
-        gap = eval_criterion(problem, quadratic_map(u, 3).r) - eval_criterion(problem, problem.r_dagger())
+        gap = eval_criterion(problem, circular_correlation(u, 3)) - eval_criterion(problem, problem.r_dagger())
         assert gap == 0.0
 
     def test_constant_input_has_positive_gap(self):
         spec = KernelSpec("Ridge", 3, {"c": 1.0})
         problem = DesignProblem(spec, 1.0, 3, 9, 1.0, "D")
         u = InputSequence.scaled_to_power(np.ones(9), 1.0)
-        gap = eval_criterion(problem, quadratic_map(u, 3).r) - eval_criterion(problem, problem.r_dagger())
+        gap = eval_criterion(problem, circular_correlation(u.values, 3)) - eval_criterion(problem, problem.r_dagger())
         assert gap > 1e-6
 
     def test_rejects_nondiagonal_family(self):

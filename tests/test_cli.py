@@ -100,6 +100,19 @@ class TestDesign:
         assert main(args) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["energy", "sigma2"])
+    def test_rejects_an_infinite_scalar(self, ridge_file, capsys, field):
+        args = design_args(ridge_file, "--criterion", "D")
+        args[args.index(f"--{field}") + 1] = "inf"
+        assert main(args) == EXIT_INPUT
+        assert f"error: {field} must be positive and finite" in capsys.readouterr().err
+
+    def test_rejects_an_infinite_kernel_scale(self, tmp_path, capsys):
+        path = tmp_path / "tc.json"
+        path.write_text('{"family": "TC", "n": 3, "params": {"c": Infinity, "lam": 0.9}}')
+        assert main(design_args(str(path), "--criterion", "D")) == EXIT_INPUT
+        assert "error: TC requires 0 < c < inf" in capsys.readouterr().err
+
     def test_random_signs_are_seeded(self, dc_file, capsys):
         outs = []
         for seed in ("7", "7", "8"):
@@ -217,21 +230,3 @@ class TestMc:
         assert main(["mc", "--config", str(tmp_path / "nope.json")]) == EXIT_INPUT
         capsys.readouterr()
 
-
-class TestBasis:
-    def test_smallest_orthogonal_basis(self, capsys):
-        assert main(["basis", "--N", "2", "--n", "2"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        want = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        assert np.max(np.abs(np.array(out["W"]) - want)) <= 1e-12
-        assert out["orthogonality_error"] <= 1e-12
-
-    def test_vertices_emitted(self, capsys):
-        assert main(["basis", "--N", "4", "--n", "2"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert np.allclose(out["vertices"], [[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]], atol=1e-12)
-        assert np.allclose(out["S"], [[1, 1, 1, 1], [1, 0, -1, 0]], atol=1e-12)
-
-    def test_period_shorter_than_order(self, capsys):
-        assert main(["basis", "--N", "3", "--n", "4"]) == EXIT_INPUT
-        capsys.readouterr()

@@ -4,17 +4,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from optinput.design_map import build_S, check_weights, quadratic_map, vertices, weights_to_r
+from oracles import TooManyVertices, _compositions, brute_force_design, criterion_gradient, weights_to_r
+from optinput.design_map import check_weights, circular_correlation, vertices
 from optinput.design_solver import (
     CRITERIA,
     DesignProblem,
     DesignSolution,
     DimensionMismatch,
     SolverOptions,
-    TooManyVertices,
-    _compositions,
     _in_r,
-    brute_force_design,
     check_rdagger_optimality,
     eval_criterion,
     gradient_in_r,
@@ -45,7 +43,7 @@ def interior_point(problem, seed):
     """Correlation strictly inside the feasible set, away from the vertices."""
     rng = np.random.default_rng(seed)
     a = rng.dirichlet(np.ones(problem.N))
-    r = weights_to_r(a, build_S(problem.N, problem.n), problem.energy).r
+    r = weights_to_r(a, problem.N, problem.n, problem.energy)
     return 0.5 * r + 0.5 * problem.r_dagger()
 
 
@@ -61,7 +59,7 @@ def assert_certified(problem, s):
     assert s.certificate.converged
     assert gap_at(problem, s.r) <= SolverOptions().gap_rel_tol * abs(s.value) + 1e-15
     assert s.value == pytest.approx(eval_criterion(problem, s.r), rel=1e-12)
-    back = weights_to_r(s.a, build_S(problem.N, problem.n), problem.energy).r
+    back = weights_to_r(s.a, problem.N, problem.n, problem.energy)
     assert np.max(np.abs(back - s.r)) <= 1e-12 * problem.energy
 
 
@@ -78,6 +76,10 @@ class TestDesignProblem:
             DesignProblem(spec, 1.0, 3, 8, -1.0, "D")
         with pytest.raises(DimensionMismatch):
             DesignProblem(spec, 1.0, 4, 8, 1.0, "D")
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            DesignProblem(spec, np.inf, 3, 8, 1.0, "D")
+        with pytest.raises(ValueError, match="energy must be positive and finite"):
+            DesignProblem(spec, 1.0, 3, 8, np.inf, "D")
 
     def test_r_dagger(self):
         p = ridge_problem(energy=2.5)
@@ -180,6 +182,27 @@ class TestGradient:
         step = np.concatenate([[0.0], -1e-7 * g])
         assert eval_criterion(p, r + step) <= eval_criterion(p, r) + 1e-12
 
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_matches_the_oracle_gradient(self, criterion):
+        # the oracle's trace formulas use an explicit inverse of Q; central
+        # differences resolve only 1e-4, this comparison 1e-10
+        rng = np.random.default_rng(2028)
+        worst = 0.0
+        for k in range(60):
+            n = int(rng.integers(2, 9))
+            N = int(rng.integers(n, 21))
+            lam = float(rng.uniform(0.5, 0.95))
+            if k % 2:
+                spec = KernelSpec("TC", n, {"c": float(rng.uniform(0.5, 2.0)), "lam": lam})
+            else:
+                spec = KernelSpec("DC", n, {"c": float(rng.uniform(0.5, 2.0)), "lam": lam,
+                                            "rho": float(rng.uniform(-0.8, 0.8))})
+            p = DesignProblem(spec, float(rng.uniform(0.2, 2.0)), n, N, float(rng.uniform(0.5, 4.0)), criterion)
+            r = interior_point(p, int(rng.integers(2**31)))
+            want = criterion_gradient(p, r)
+            worst = max(worst, float(np.max(np.abs(gradient_in_r(p, r) - want)) / np.max(np.abs(want))))
+        assert worst <= 1e-10
+
 
 def central_differences(f, x, h):
     """Central differences of f in x[1:], stacked along the last axis."""
@@ -256,11 +279,10 @@ class TestConvexity:
     def test_segment_witness(self, criterion):
         p = dc_problem(criterion, n=4, N=10)
         rng = np.random.default_rng(11)
-        S = build_S(10, 4)
         trials = 100 if criterion != "E" else 25
         for _ in range(trials):
-            ra = weights_to_r(rng.dirichlet(np.ones(10)), S, 1.0).r
-            rb = weights_to_r(rng.dirichlet(np.ones(10)), S, 1.0).r
+            ra = weights_to_r(rng.dirichlet(np.ones(10)), 10, 4, 1.0)
+            rb = weights_to_r(rng.dirichlet(np.ones(10)), 10, 4, 1.0)
             va, vb = eval_criterion(p, ra), eval_criterion(p, rb)
             for t in (0.25, 0.5, 0.75):
                 mid = eval_criterion(p, t * ra + (1 - t) * rb)
@@ -326,8 +348,8 @@ class TestSolve:
     def test_returned_input_realizes_the_correlation(self):
         p = dc_problem("D", n=4, N=10)
         s = solve(p)
-        back = quadratic_map(s.u, 4)
-        assert np.max(np.abs(back.r - s.r)) <= 1e-8 * p.energy
+        back = circular_correlation(s.u.values, 4)
+        assert np.max(np.abs(back - s.r)) <= 1e-8 * p.energy
         assert abs(float(s.u.values @ s.u.values) - p.energy) <= 1e-10 * p.energy
 
     def test_gap_certificate_meets_the_tolerance(self):
@@ -354,8 +376,8 @@ class TestSolve:
             p = dc_problem(criterion, rho=0.5, n=n, N=N, energy=2.0)
             s = solve(p)
             check_weights(s.a, N)
-            want = weights_to_r(s.a, build_S(p.N, p.n), p.energy)
-            assert np.max(np.abs(want.r - s.r)) <= 1e-12 * p.energy
+            want = weights_to_r(s.a, p.N, p.n, p.energy)
+            assert np.max(np.abs(want - s.r)) <= 1e-12 * p.energy
             assert np.all(s.a[p.N // 2 + 1 :] == 0.0)
 
     @pytest.mark.parametrize("name", ["Ridge-N4", "DI-N4", "DI-N7"])
@@ -456,7 +478,7 @@ class TestNewtonPath:
         assert_certified(p, s)
         grid = brute_force_design(p, 60)
         assert s.value <= grid.value + 1e-12
-        assert grid.value - s.value <= grid.certificate.gap
+        assert grid.value - s.value <= grid.slack
 
     @pytest.mark.parametrize("criterion", ["D", "A"])
     def test_single_tap(self, criterion):
@@ -599,8 +621,6 @@ class TestBruteForce:
     def test_resolution_one_returns_the_best_vertex(self):
         p = DesignProblem(KernelSpec("Ridge", 2, {"c": 1.0}), 1.0, 2, 4, 1.0, "D")
         s = brute_force_design(p, 1)
-        from optinput.design_map import vertices
-
         V = vertices(4, 2, 1.0)
         best = min(float(eval_criterion(p, v)) for v in V)
         assert s.value == pytest.approx(best, rel=1e-12)
@@ -612,7 +632,7 @@ class TestBruteForce:
         grid = brute_force_design(p, 200)
         s = solve(p)
         assert s.value <= grid.value + 1e-12
-        assert grid.value - s.value <= grid.certificate.gap
+        assert grid.value - s.value <= grid.slack
 
     def test_too_many_vertices(self):
         p = DesignProblem(KernelSpec("Ridge", 2, {"c": 1.0}), 1.0, 2, 16, 1.0, "D")

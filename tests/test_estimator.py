@@ -95,13 +95,13 @@ class TestCirculantRegressor:
         assert np.array_equal(phi.T @ phi, [[14.0, 11.0], [11.0, 14.0]])
 
     def test_gram_matches_correlation_map(self):
-        from optinput.design_map import quadratic_map
+        from optinput.design_map import circular_correlation
         import scipy.linalg
 
         rng = np.random.default_rng(3)
         u = rng.standard_normal(11)
         phi = build_circulant_regressor(u, 4)
-        r = quadratic_map(u, 4).r
+        r = circular_correlation(u, 4)
         assert np.allclose(phi.T @ phi, scipy.linalg.toeplitz(r), atol=1e-12)
 
     def test_every_column_has_full_power(self):

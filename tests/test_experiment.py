@@ -221,7 +221,11 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(systems=1, n=4, N=8, energy=1.0, criteria=("D", "Z"))
 
-    @pytest.mark.parametrize("field", [{"gap_rel_tol": -1.0}, {"max_iter": -1}, {"system_order": 0}], ids=str)
+    @pytest.mark.parametrize(
+        "field",
+        [{"gap_rel_tol": -1.0}, {"max_iter": -1}, {"system_order": 0}, {"energy": np.inf}, {"snr_range": (1.0, np.inf)}],
+        ids=str,
+    )
     def test_from_json_rejects_a_bad_field(self, field):
         with pytest.raises(ValueError):
             McConfig.from_json({"systems": 1, "n": 4, "N": 8, "energy": 1.0, **field})

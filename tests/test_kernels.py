@@ -37,6 +37,13 @@ class TestKernelSpecValidation:
             ("DC", {"c": 1.0, "lam": 0.9, "rho": 1.0}),
             ("DC", {"c": 1.0, "lam": 0.9, "rho": -1.0}),
             ("DC", {"c": 0.0, "lam": 0.9, "rho": 0.5}),
+            # infinite scales and decays give a non-finite P and a zero P^-1
+            ("Ridge", {"c": np.inf}),
+            ("Diagonal", {"lams": [1.0, np.inf, 3.0]}),
+            ("DI", {"c": np.inf, "lam": 0.9}),
+            ("DI", {"c": 1.0, "lam": np.inf}),
+            ("TC", {"c": np.inf, "lam": 0.9}),
+            ("DC", {"c": np.inf, "lam": 0.9, "rho": 0.5}),
         ],
     )
     def test_rejects_bad_hyperparameters(self, family, params):
